@@ -1,11 +1,11 @@
 """Dataplane verification over prefix equivalence classes and bit vectors."""
 
-from .errors import (DimensionMismatch, DuplicateEdge, EmptyInput,
-                     InconsistentTable, InfeasibleParameters, InvalidPair,
-                     MissingMapping, NetvecError, NoPath, NodeMissing,
-                     NonOrthonormalColumns, NotFound, ParseError, PbrProtected,
-                     PrefixTooLong, RectificationImpossible, UnknownLink,
-                     UnknownRouter, WidthTooLarge)
+from .errors import (AlignmentDiverged, DimensionMismatch, DuplicateEdge,
+                     EmptyInput, InconsistentTable, InfeasibleParameters,
+                     InvalidPair, MissingMapping, NetvecError, NoPath,
+                     NodeMissing, NonOrthonormalColumns, NotFound, ParseError,
+                     PbrProtected, PrefixTooLong, RectificationImpossible,
+                     UnknownLink, UnknownRouter, WidthTooLarge)
 from .prefixes import ROOT, Prefix, format_prefix, parse_prefix
 from .trie import AffectedSets, HeaderTrie, Label, TrieNode, UpdateOutcome
 from .vectors import (ForwardCase, FilterVector, ForwardingVector, StateVector,

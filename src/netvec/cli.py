@@ -206,7 +206,12 @@ def cmd_bench(args) -> int:
     if mode.startswith("batch"):
         if ":" in mode:
             mode, _, size = mode.partition(":")
-            batch_size = int(size)
+            try:
+                batch_size = int(size)
+            except ValueError:
+                batch_size = 0
+            if batch_size < 1:
+                raise ParseError(f"bad --mode {args.mode!r}; expected batch:N with N >= 1")
         mode = "batch"
     elif mode != "per-update":
         print(f"bad --mode {args.mode!r}", file=sys.stderr)
@@ -239,7 +244,11 @@ def cmd_gen(args) -> int:
         mask_dist = {}
         for part in args.mask_dist.split(","):
             length, _, weight = part.partition(":")
-            mask_dist[int(length)] = float(weight or 1)
+            try:
+                mask_dist[int(length)] = float(weight or 1)
+            except ValueError:
+                raise ParseError(f"bad --mask-dist {args.mask_dist!r}; "
+                                 "expected LEN:WEIGHT,...") from None
     spec = generate_synthetic(args.nodes, args.edges, args.rules_per_node,
                               mask_distribution=mask_dist, seed=args.seed,
                               width=args.width)

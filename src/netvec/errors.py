@@ -59,6 +59,10 @@ class PbrProtected(NetvecError):
     """A non-PBR update tried to touch a PBR-protected prefix."""
 
 
+class AlignmentDiverged(NetvecError):
+    """Rewrite targets could not be aligned with match-side class boundaries."""
+
+
 # --- rectification ---
 
 class NoPath(NetvecError):

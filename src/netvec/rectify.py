@@ -82,12 +82,15 @@ def _hop(session: VerificationSession, router: str, port: int, bits: int,
     Returns (pre, post): the vector entering the projection and the vector
     leaving on the port.
     """
-    g = session.filter_bits.get(router)
-    b1 = bits & g if g is not None else bits
-    t = session.transforms.get(router)
-    if t is not None:
-        b1 = apply_transform(t, StateVector(b1, session.m)).bits
-    vmask = session._masks.get((router, port), 0)
+    e = session.memo.get(router)
+    if e is None or bits & e.pending:
+        e = session.resolve(router, bits)
+    b1 = bits if e.permit is None else bits & e.permit
+    if e.xform is not None:
+        b1 = apply_transform(e.xform, StateVector(b1, session.m)).bits
+        if b1 & e.pending:
+            e = session.resolve(router, b1)
+    vmask = e.by_port.get(port, 0)
     if overlay:
         vmask |= overlay.get((router, port), 0)
     return b1, vmask & b1
@@ -199,7 +202,7 @@ def rectify(state: NetworkState, src: str, dst: str, intent: set[Prefix], *,
             pre, out = _hop(session, r, port, bits, trial_overlay)
             blocked = pre & remaining & ~out
             if blocked:
-                forwarded = session.union_mask(r)
+                forwarded = session.memo[r].union     # resolved for pre by _hop
                 for (rr, _), extra in trial_overlay.items():
                     if rr == r:
                         forwarded |= extra

@@ -6,8 +6,8 @@ classes: a rule header ending at a leaf is *atomic*, a rule header ending at
 an interior node is a *supernet*, and *iatomic* leaves are synthesized so the
 leaf set exactly partitions every supernet's range. Updating a rule
 re-derives labels and iatomic leaves locally, and `compute_affected` reports
-the classes and (router, port) owners whose behavior the update may have
-changed.
+the classes whose behavior an update (or a batch of them) may have changed,
+each with the rule-bearing nodes its longest-prefix winners come from.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 
 from .errors import NodeMissing, NotFound, PrefixTooLong
 from .prefixes import Prefix
@@ -27,11 +28,6 @@ class Label(IntEnum):
     IATOMIC = 3
 
 
-# packed (depth, port) resolution entries; ports must fit in _PORT_BITS
-_PORT_BITS = 24
-_PORT_MASK = (1 << _PORT_BITS) - 1
-
-
 class TrieNode:
     __slots__ = ("zero", "one", "owners", "acl", "xform", "marker",
                  "label", "leaf_id", "value", "depth", "listed")
@@ -39,6 +35,8 @@ class TrieNode:
     def __init__(self, value: int, depth: int):
         self.zero: TrieNode | None = None
         self.one: TrieNode | None = None
+        # rule maps are replaced, never edited in place, so a reference held
+        # by an AffectedSets chain stays a snapshot
         self.owners: dict[str, int] = {}        # router -> port (one action per router)
         self.acl: dict[str, bool] = {}          # router -> permit
         self.xform: dict[str, Prefix] = {}      # router -> rewrite target
@@ -67,30 +65,51 @@ class UpdateOutcome:
     new_leaf: bool
 
 
+# A rule-bearing trie node as a class's chain records it: the node's
+# forwarding, ACL and rewrite maps as they were when the affected set was
+# computed, plus the low end of the node's header range.
+ChainEntry = tuple[dict[str, int], dict[str, bool], dict[str, Prefix], int]
+
+
 @dataclass(frozen=True)
 class AffectedSets:
-    """Classes and ports whose behavior a rule update may change.
+    """Classes whose behavior a rule update may change.
 
     Coordinate j of every session vector corresponds to ``s_affected[j]``;
-    classes are ordered by range start (in-order leaf position). The
-    per-class resolution maps carry the longest-prefix winners gathered
-    during the affected-set traversal, so verification sessions can be built
-    without another pass over the trie.
+    classes are ordered by range start (in-order leaf position).
+    ``chains[j]`` lists the rule-bearing nodes on class j's root path,
+    root first; classes under the same nodes share one tuple. A router's
+    longest-prefix winner for class j is its entry in the deepest chain
+    node that names it, so sessions resolve (router, class) pairs on
+    demand from these snapshots.
     """
 
     s_affected: tuple[int, ...]
-    p_affected: frozenset[tuple[str, int]]
     id_to_prefix: dict[int, Prefix]
     classes: tuple[Prefix, ...]
     class_ranges: tuple[tuple[int, int], ...]
     width: int
-    fwd_resolution: tuple[dict[str, int], ...] = field(repr=False)
-    acl_resolution: tuple[dict[str, bool], ...] = field(repr=False)
-    xform_resolution: tuple[dict[str, tuple[int, Prefix]], ...] = field(repr=False)
+    chains: tuple[tuple[ChainEntry, ...], ...] = field(repr=False)
+    has_transforms: bool = False
 
     @property
     def m(self) -> int:
         return len(self.s_affected)
+
+    @cached_property
+    def p_affected(self) -> frozenset[tuple[str, int]]:
+        """Every (router, port) that wins longest-prefix match on some class."""
+        out: set[tuple[str, int]] = set()
+        seen: set[int] = set()
+        for chain in self.chains:
+            if id(chain) in seen:
+                continue
+            seen.add(id(chain))
+            winners: dict[str, int] = {}
+            for owners, _, _, _ in chain:
+                winners.update(owners)
+            out.update(winners.items())
+        return frozenset(out)
 
 
 class HeaderTrie:
@@ -257,7 +276,9 @@ class HeaderTrie:
         router, port = owner
 
         def mark(node):
-            node.owners[router] = port
+            owners = node.owners.copy()
+            owners[router] = port
+            node.owners = owners
 
         return self._apply_insert(prefix, mark, materialize)
 
@@ -265,21 +286,21 @@ class HeaderTrie:
                       materialize: bool = True) -> UpdateOutcome:
         """Bulk variant of insert_header: one walk, many owners."""
         def mark(node):
-            node.owners.update(owners)
+            node.owners = {**node.owners, **owners}
 
         return self._apply_insert(prefix, mark, materialize)
 
     def insert_acl(self, prefix: Prefix, router: str, permit: bool, *,
                    materialize: bool = True) -> UpdateOutcome:
         def mark(node):
-            node.acl[router] = permit
+            node.acl = {**node.acl, router: permit}
 
         return self._apply_insert(prefix, mark, materialize)
 
     def insert_transform(self, match: Prefix, router: str, out: Prefix, *,
                          materialize: bool = True) -> UpdateOutcome:
         def mark(node):
-            node.xform[router] = out
+            node.xform = {**node.xform, router: out}
 
         return self._apply_insert(match, mark, materialize)
 
@@ -298,7 +319,9 @@ class HeaderTrie:
         node = path[-1]
         if router not in node.owners or node.owners[router] != port:
             raise NotFound(f"({prefix}, {(router, port)}) not present")
-        del node.owners[router]
+        owners = node.owners.copy()
+        del owners[router]
+        node.owners = owners
         if node.is_rule:
             return UpdateOutcome(0, False)       # other rules keep the node alive
         self._relabel(node)
@@ -371,116 +394,96 @@ class HeaderTrie:
     # ------------------------------------------------------------------
     # affected sets
 
-    def compute_affected(self, prefix: Prefix, *, clamp: bool = False) -> AffectedSets:
-        """Classes and ports possibly affected by an update at `prefix`.
+    def compute_affected(self, *prefixes: Prefix, clamp: bool = False) -> AffectedSets:
+        """Classes possibly affected by updates at `prefixes`.
 
-        Walks the root path, then the update node's subtree, resolving the
-        longest-prefix winners (forwarding, ACL, transform) per class along
-        the way. With ``clamp=True`` a missing node clamps to the deepest
-        existing ancestor (used after deletions); otherwise it is an error.
+        One walk from the root follows every prefix's path and collects the
+        leaves under each prefix's node, in range-start order; nested and
+        repeated prefixes add nothing. Each class keeps the rule-bearing
+        nodes on its root path (see `AffectedSets.chains`), so a session
+        can resolve longest-prefix winners without another trie pass. With
+        ``clamp=True`` a missing node clamps to the deepest existing
+        ancestor (used after deletions); otherwise it is an error.
         """
         self._renumber_if_dirty()
         width = self.width
-        visits = 1
-        # packed resolution entries: depth << SHIFT | payload (port / permit)
-        fwd: dict[str, int] = {}
-        acl: dict[str, int] = {}
-        xf: dict[str, tuple[int, int, Prefix]] = {}
-        node = self.root
-        self._collect_path(node, fwd, acl, xf)
-        for i in range(prefix.length):
-            nxt = node.one if prefix.bit(i) else node.zero
-            if nxt is None:
-                if clamp:
-                    break
-                raise NodeMissing(f"no node for {prefix}")
-            node = nxt
-            visits += 1
-            self._collect_path(node, fwd, acl, xf)
+        leaves: list[TrieNode] = []
+        chains: list[tuple[ChainEntry, ...]] = []
+        visits = 0
+        has_xform = False
 
-        classes: list[TrieNode] = []
-        snapshots: list[tuple[dict, dict, dict]] = []
-        mask = _PORT_MASK
+        def extend(node: TrieNode, chain: tuple) -> tuple:
+            nonlocal has_xform
+            if node.owners or node.acl or node.xform:
+                if node.xform:
+                    has_xform = True
+                chain += ((node.owners, node.acl, node.xform,
+                           node.value << (width - node.depth)),)
+            return chain
 
-        def descend(n: TrieNode) -> None:
-            nonlocal visits
-            if n.zero is None and n.one is None:
-                snapshots.append((
-                    {r: v & mask for r, v in fwd.items()},
-                    {r: bool(v & 1) for r, v in acl.items()},
-                    {r: (v << (width - d), out) for r, (d, v, out) in xf.items()},
-                ))
-                classes.append(n)
+        def collect(node: TrieNode, chain: tuple) -> None:
+            chain = extend(node, chain)
+            if node.zero is None and node.one is None:
+                leaves.append(node)
+                chains.append(chain)
                 return
-            for child in (n.zero, n.one):
-                if child is None:
-                    continue
-                visits += 1
-                undo = self._collect(child, fwd, acl, xf)
-                descend(child)
-                self._restore(undo, fwd, acl, xf)
+            nonlocal visits
+            for child in (node.zero, node.one):
+                if child is not None:
+                    visits += 1
+                    collect(child, chain)
 
-        descend(node)
+        def seek(node: TrieNode, chain: tuple, targets: list[Prefix]) -> None:
+            nonlocal visits
+            # walk the path every target shares, then split where they diverge
+            lead = targets[0]
+            value, length = lead.value, lead.length
+            shared = length
+            for p in targets:
+                k = min(length, p.length)
+                diff = (value >> (length - k)) ^ (p.value >> (p.length - k))
+                shared = min(shared, k - diff.bit_length())
+            while node.depth < shared:
+                child = node.one if value >> (length - 1 - node.depth) & 1 else node.zero
+                if child is None:
+                    if not clamp:
+                        raise NodeMissing(f"no node for {lead}")
+                    break                       # clamp to the deepest existing node
+                chain = extend(node, chain)
+                node = child
+                visits += 1
+            if node.depth < shared or any(p.length == shared for p in targets):
+                collect(node, chain)
+                return
+            groups = ([], [])
+            for p in targets:
+                groups[p.bit(shared)].append(p)
+            if node.zero is None or node.one is None:
+                if not clamp:
+                    raise NodeMissing(f"no node for {groups[node.zero is not None][0]}")
+                collect(node, chain)
+                return
+            chain = extend(node, chain)
+            for child, group in zip((node.zero, node.one), groups):
+                visits += 1
+                seek(child, chain, group)
+
+        if prefixes:
+            visits = 1
+            seek(self.root, (), list(prefixes))
         self.last_affected_visits = visits
 
-        prefixes = tuple(n.prefix() for n in classes)
-        ranges = tuple(p.range(width) for p in prefixes)
-        ids = tuple(n.leaf_id for n in classes)
-        p_aff = frozenset((r, p) for snap, _, _ in snapshots for r, p in snap.items())
+        classes = tuple(n.prefix() for n in leaves)
+        ids = tuple(n.leaf_id for n in leaves)
         return AffectedSets(
             s_affected=ids,
-            p_affected=p_aff,
-            id_to_prefix={i: pfx for i, pfx in zip(ids, prefixes)},
-            classes=prefixes,
-            class_ranges=ranges,
+            id_to_prefix=dict(zip(ids, classes)),
+            classes=classes,
+            class_ranges=tuple(p.range(width) for p in classes),
             width=width,
-            fwd_resolution=tuple(s[0] for s in snapshots),
-            acl_resolution=tuple(s[1] for s in snapshots),
-            xform_resolution=tuple(s[2] for s in snapshots),
+            chains=tuple(chains),
+            has_transforms=has_xform,
         )
-
-    @staticmethod
-    def _collect_path(node, fwd, acl, xf):
-        """Resolution update for root-path nodes (descending, so no undo)."""
-        dp = node.depth << _PORT_BITS
-        if node.owners:
-            for r, p in node.owners.items():
-                fwd[r] = dp | p
-        if node.acl:
-            da = node.depth << 1
-            for r, a in node.acl.items():
-                acl[r] = da | a
-        if node.xform:
-            for r, out in node.xform.items():
-                xf[r] = (node.depth, node.value, out)
-
-    @staticmethod
-    def _collect(node, fwd, acl, xf):
-        undo = []
-        dp = node.depth << _PORT_BITS
-        if node.owners:
-            for r, p in node.owners.items():
-                undo.append((0, r, fwd.get(r)))
-                fwd[r] = dp | p
-        if node.acl:
-            da = node.depth << 1
-            for r, a in node.acl.items():
-                undo.append((1, r, acl.get(r)))
-                acl[r] = da | a
-        if node.xform:
-            for r, out in node.xform.items():
-                undo.append((2, r, xf.get(r)))
-                xf[r] = (node.depth, node.value, out)
-        return undo
-
-    @staticmethod
-    def _restore(undo, fwd, acl, xf):
-        for kind, r, prev in reversed(undo):
-            table = (fwd, acl, xf)[kind]
-            if prev is None:
-                del table[r]
-            else:
-                table[r] = prev
 
     # ------------------------------------------------------------------
     # introspection

@@ -1,26 +1,27 @@
 """Verification sessions and dataplane queries.
 
-A session freezes the affected classes of one update (or the whole header
-space), the per-port forwarding vectors derived from longest-prefix match,
-and the per-router ACL/rewrite structures. Queries propagate a state vector
-hop by hop: filter, then rewrite, then project onto the outgoing port, and
-fold the per-path results into reachability, loop, blackhole, or policy
-answers.
+A session covers the affected classes of one update (or the whole header
+space) and resolves, per router and on first visit, the per-port forwarding
+masks from longest-prefix match and the ACL/rewrite structures. Queries
+propagate a state vector hop by hop: filter, then rewrite, then project onto
+the outgoing port, and fold the per-path results into reachability, loop,
+blackhole, or policy answers.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import threading
 from dataclasses import dataclass, field
 
 from .dataset import NetworkSpec, UpdateEvent
-from .errors import (DimensionMismatch, InconsistentTable, NotFound,
-                     PbrProtected, UnknownLink, UnknownRouter)
+from .errors import (AlignmentDiverged, DimensionMismatch, InconsistentTable,
+                     NotFound, PbrProtected, UnknownLink, UnknownRouter)
 from .prefixes import ROOT, Prefix
 from .trie import AffectedSets, HeaderTrie, UpdateOutcome
-from .vectors import (FilterVector, ForwardingVector, StateVector,
-                      TransformMatrix, apply_transform)
+from .vectors import (ForwardingVector, StateVector, TransformMatrix,
+                      apply_transform)
 
 
 @dataclass
@@ -106,60 +107,167 @@ class WhatIfResult:
 # ----------------------------------------------------------------------
 # session
 
-class VerificationSession:
-    """Immutable query context over one affected-set computation."""
+def _set_bits(mask: int) -> list[int]:
+    """Indices of the set bits of `mask`, ascending."""
+    text = bin(mask)[:1:-1]             # least significant bit first
+    out = []
+    i = text.find("1")
+    while i >= 0:
+        out.append(i)
+        i = text.find("1", i + 1)
+    return out
 
-    def __init__(self, affected: AffectedSets, topology: Topology,
-                 masks: dict[tuple[str, int], int],
-                 filter_bits: dict[str, int],
-                 transforms: dict[str, TransformMatrix]):
+
+def _mask_of(indices: list[int], m: int) -> int:
+    """The m-bit mask with exactly `indices` set (linear in m, not in
+    m times the index count as repeated ORs of big ints would be)."""
+    buf = bytearray((m + 7) >> 3)
+    for j in indices:
+        buf[j >> 3] |= 1 << (j & 7)
+    return int.from_bytes(buf, "little")
+
+
+class RouterMemo:
+    """What a session has resolved for one router.
+
+    ``pending`` marks the classes not resolved yet (the complement of the
+    resolved-class mask, so a hop tests it with one AND); the other fields
+    cover every resolved class and only grow. ``ports`` holds the
+    ``(port, mask)`` pairs in ascending port order and ``by_port`` the same
+    masks by port, ``union`` is the OR of the masks, ``permit`` the classes
+    the router's ACL lets through (None while no resolved class is denied)
+    and ``xform`` the rewrite matrix (explicit columns for resolved
+    rewritten classes), or None while no resolved class is rewritten.
+    """
+
+    __slots__ = ("pending", "ports", "by_port", "union", "permit", "xform")
+
+    def __init__(self, m: int):
+        self.pending = (1 << m) - 1
+        self.ports: tuple[tuple[int, int], ...] = ()
+        self.by_port: dict[int, int] = {}
+        self.union = 0
+        self.permit: int | None = None
+        self.xform: TransformMatrix | None = None
+
+
+class VerificationSession:
+    """Query context over one affected-set computation.
+
+    Nothing is resolved up front: a router's port masks, ACL bits and
+    rewrite columns are filled in on its first visit, for the classes live
+    there, and extended when later visits carry classes not yet resolved.
+    The chains it resolves from are snapshots, so answers describe the
+    network as it was when the affected set was computed, whatever updates
+    follow. Sessions may be queried from several threads: memo writers
+    hold a lock and publish every other field before shrinking
+    ``pending``, and readers test ``pending`` first.
+    """
+
+    def __init__(self, affected: AffectedSets, topology: Topology):
         self.affected = affected
         self.topology = topology
         self.m = affected.m
         self.classes = affected.classes
-        self._masks = masks
-        self.filter_bits = filter_bits
-        self.transforms = transforms
-        self.has_transforms = bool(transforms)
-        # group (port, mask) per router; mask insertion order is the
-        # deterministic class-then-router resolution order
-        ports: dict[str, list[tuple[int, int]]] = {}
-        for (r, p), mask in masks.items():
-            lst = ports.get(r)
-            if lst is None:
-                ports[r] = [(p, mask)]
-            else:
-                lst.append((p, mask))
-        self.ports_by_router = ports
+        self.has_transforms = affected.has_transforms
+        self.memo: dict[str, RouterMemo] = {}
         self.touched: set[tuple[str, int]] = set()
-        self._fwd_vectors: dict[tuple[str, int], ForwardingVector] | None = None
-        self._filters: dict[str, FilterVector] | None = None
-        self._union_masks: dict[str, int] = {}
+        self._lock = threading.Lock()
+        self._starts: list[int] | None = None
+
+    def resolve(self, router: str, bits: int) -> RouterMemo:
+        """The router's memo, extended to cover the classes in `bits`."""
+        with self._lock:
+            memo = self.memo.get(router)
+            fresh = memo is None
+            if fresh:
+                memo = RouterMemo(self.m)
+            need = bits & memo.pending
+            if need:
+                self._extend(router, memo, need)
+            if fresh:
+                self.memo[router] = memo
+        return memo
+
+    def _extend(self, router: str, memo: RouterMemo, need: int) -> None:
+        chains = self.affected.chains
+        by_port: dict[int, list[int]] = {}
+        denied: list[int] = []
+        columns: dict[int, int] = {}
+        for j in _set_bits(need):
+            chain = chains[j]
+            for owners, _, _, _ in reversed(chain):
+                port = owners.get(router)
+                if port is not None:
+                    by_port.setdefault(port, []).append(j)
+                    break
+            for _, acl, _, _ in reversed(chain):
+                permit = acl.get(router)
+                if permit is not None:
+                    if not permit:
+                        denied.append(j)
+                    break
+            for _, _, xform, match_lo in reversed(chain):
+                out = xform.get(router)
+                if out is not None:
+                    columns[j] = self._image(j, match_lo, out)
+                    break
+        m = self.m
+        ports = dict(memo.by_port)
+        union = memo.union
+        for port, js in by_port.items():
+            mask = _mask_of(js, m)
+            ports[port] = ports.get(port, 0) | mask
+            union |= mask
+        memo.by_port = dict(sorted(ports.items()))
+        memo.ports = tuple(memo.by_port.items())
+        memo.union = union
+        if denied:
+            permit = (1 << m) - 1 if memo.permit is None else memo.permit
+            memo.permit = permit & ~_mask_of(denied, m)
+        if columns:
+            if memo.xform is not None:
+                columns = {**memo.xform.columns, **columns}
+            memo.xform = TransformMatrix(m, columns)
+        memo.pending &= ~need
+
+    def _image(self, j: int, match_lo: int, out: Prefix) -> int:
+        """Classes covering class j's range rewritten from match to out."""
+        affected = self.affected
+        ranges = affected.class_ranges
+        if self._starts is None:
+            self._starts = [lo for lo, _ in ranges]
+        starts = self._starts
+        lo, hi = ranges[j]
+        img_lo = (out.value << (affected.width - out.length)) + (lo - match_lo)
+        img_hi = img_lo + (hi - lo)
+        rows = []
+        i = bisect.bisect_left(starts, img_lo)
+        while i < self.m and starts[i] <= img_hi:
+            if ranges[i][1] <= img_hi:
+                rows.append(i)
+            i += 1
+        return _mask_of(rows, self.m)
+
+    def _resolve_all(self, routers) -> dict[str, RouterMemo]:
+        full = (1 << self.m) - 1
+        return {r: self.resolve(r, full) for r in sorted(routers)}
 
     @property
     def fwd_vectors(self) -> dict[tuple[str, int], ForwardingVector]:
-        if self._fwd_vectors is None:
-            self._fwd_vectors = {
-                (r, p): ForwardingVector(mask, self.m, (r, p))
-                for (r, p), mask in self._masks.items()
-            }
-        return self._fwd_vectors
+        """Every affected port's forwarding vector (resolves every class at
+        every owning router; for inspection, not used by queries)."""
+        memos = self._resolve_all({r for r, _ in self.affected.p_affected})
+        return {(r, p): ForwardingVector(mask, self.m, (r, p))
+                for r, memo in memos.items() for p, mask in memo.ports}
 
     @property
-    def filters(self) -> dict[str, FilterVector]:
-        if self._filters is None:
-            self._filters = {r: FilterVector(bits, self.m, r)
-                             for r, bits in self.filter_bits.items()}
-        return self._filters
-
-    def union_mask(self, router: str) -> int:
-        mask = self._union_masks.get(router)
-        if mask is None:
-            mask = 0
-            for _, pmask in self.ports_by_router.get(router, ()):
-                mask |= pmask
-            self._union_masks[router] = mask
-        return mask
+    def transforms(self) -> dict[str, TransformMatrix]:
+        """Every rewriting router's full rewrite matrix (for inspection)."""
+        routers = {r for chain in self.affected.chains
+                   for _, _, xform, _ in chain for r in xform}
+        return {r: memo.xform for r, memo in self._resolve_all(routers).items()
+                if memo.xform is not None}
 
     def all_ones(self) -> StateVector:
         return StateVector.ones(self.m)
@@ -173,65 +281,21 @@ class VerificationSession:
         return StateVector(bits, self.m)
 
     def decode(self, bits: int) -> frozenset[Prefix]:
-        out = set()
-        rest = bits
-        while rest:
-            low = rest & -rest
-            out.add(self.classes[low.bit_length() - 1])
-            rest ^= low
-        return frozenset(out)
+        classes = self.classes
+        return frozenset(classes[j] for j in _set_bits(bits))
 
 
 def build_session(affected: AffectedSets, topology: Topology,
                   tables: dict[str, dict[Prefix, int]] | None = None) -> VerificationSession:
-    """Materialize per-port forwarding vectors, filters, and rewrites.
+    """A session over `affected`; routers are resolved as queries reach them.
 
-    The longest-prefix winners were resolved during the affected-set
-    traversal, so this is a single pass over the per-class resolution maps.
     `tables`, when given, is validated against the topology.
     """
     if tables is not None:
         for r in tables:
             if r not in topology.nodes:
                 raise InconsistentTable(f"rules reference unknown router {r!r}")
-    m = affected.m
-    masks: dict[tuple[str, int], int] = {}
-    for j, fwd in enumerate(affected.fwd_resolution):
-        bit = 1 << j
-        for r, p in fwd.items():
-            key = (r, p)
-            prev = masks.get(key)
-            masks[key] = bit if prev is None else prev | bit
-
-    filter_bits: dict[str, int] = {}
-    full = (1 << m) - 1
-    for j, acl in enumerate(affected.acl_resolution):
-        for r, permit in acl.items():
-            if r not in filter_bits:
-                filter_bits[r] = full
-            if not permit:
-                filter_bits[r] &= ~(1 << j)
-
-    transforms: dict[str, TransformMatrix] = {}
-    starts = [lo for lo, _ in affected.class_ranges]
-    columns: dict[str, dict[int, int]] = {}
-    for j, xmap in enumerate(affected.xform_resolution):
-        if not xmap:
-            continue
-        lo, hi = affected.class_ranges[j]
-        for r, (match_lo, out) in xmap.items():
-            img_lo = (out.value << (affected.width - out.length)) + (lo - match_lo)
-            img_hi = img_lo + (hi - lo)
-            row = 0
-            i = bisect.bisect_left(starts, img_lo)
-            while i < m and starts[i] <= img_hi:
-                if affected.class_ranges[i][1] <= img_hi:
-                    row |= 1 << i
-                i += 1
-            columns.setdefault(r, {})[j] = row
-    for r, cols in columns.items():
-        transforms[r] = TransformMatrix(m, cols)
-    return VerificationSession(affected, topology, masks, filter_bits, transforms)
+    return VerificationSession(affected, topology)
 
 
 # ----------------------------------------------------------------------
@@ -264,9 +328,8 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
             total_paths=1, paths_explored=1, truncated=False,
             reachable_vector=b_init)
 
-    masks_by_router = session.ports_by_router
-    fbits = session.filter_bits
-    transforms = session.transforms
+    memo = session.memo
+    resolve = session.resolve
     link = topo.port_link
     touched = session.touched
     by_state = session.has_transforms
@@ -288,16 +351,19 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
         if max_hops is not None and len(path) >= max_hops:
             truncated = True
             continue
-        g = fbits.get(r)
-        b1 = bits & g if g is not None else bits
-        t = transforms.get(r)
-        if t is not None:
-            b1 = apply_transform(t, StateVector(b1, m)).bits
+        e = memo.get(r)
+        if e is None or bits & e.pending:
+            e = resolve(r, bits)
+        b1 = bits if e.permit is None else bits & e.permit
+        if e.xform is not None:
+            b1 = apply_transform(e.xform, StateVector(b1, m)).bits
+            if b1 & e.pending:
+                e = resolve(r, b1)
         if b1 == 0:
             continue
         new_path = path + (r,)
         new_states = states + ((r, bits),) if by_state else ()
-        for port, vmask in masks_by_router.get(r, ()):
+        for port, vmask in e.ports:
             touched.add((r, port))
             out = vmask & b1
             if out == 0:
@@ -344,22 +410,26 @@ def detect_loop(session: VerificationSession, src: str,
     if b_init.width != m:
         raise DimensionMismatch(f"b_init width {b_init.width} != {m}")
 
-    fbits = session.filter_bits
-    transforms = session.transforms
+    memo = session.memo
+    resolve = session.resolve
     link = topo.port_link
+    touched = session.touched
     stack = [(src, b_init.bits, ())]
     while stack:
         r, bits, path = stack.pop()
-        g = fbits.get(r)
-        b1 = bits & g if g is not None else bits
-        t = transforms.get(r)
-        if t is not None:
-            b1 = apply_transform(t, StateVector(b1, m)).bits
+        e = memo.get(r)
+        if e is None or bits & e.pending:
+            e = resolve(r, bits)
+        b1 = bits if e.permit is None else bits & e.permit
+        if e.xform is not None:
+            b1 = apply_transform(e.xform, StateVector(b1, m)).bits
+            if b1 & e.pending:
+                e = resolve(r, b1)
         if b1 == 0:
             continue
         new_path = path + (r,)
-        for port, vmask in session.ports_by_router.get(r, ()):
-            session.touched.add((r, port))
+        for port, vmask in e.ports:
+            touched.add((r, port))
             out = vmask & b1
             if out == 0:
                 continue
@@ -391,26 +461,30 @@ def detect_blackhole(session: VerificationSession, src: str,
     if b_init.width != m:
         raise DimensionMismatch(f"b_init width {b_init.width} != {m}")
 
-    fbits = session.filter_bits
-    transforms = session.transforms
+    memo = session.memo
+    resolve = session.resolve
     link = topo.port_link
+    touched = session.touched
     holes: dict[str, int] = {}
     seen = {(src, b_init.bits)}
     stack = [(src, b_init.bits)]
     while stack:
         r, bits = stack.pop()
-        g = fbits.get(r)
-        b1 = bits & g if g is not None else bits
-        t = transforms.get(r)
-        if t is not None:
-            b1 = apply_transform(t, StateVector(b1, m)).bits
+        e = memo.get(r)
+        if e is None or bits & e.pending:
+            e = resolve(r, bits)
+        b1 = bits if e.permit is None else bits & e.permit
+        if e.xform is not None:
+            b1 = apply_transform(e.xform, StateVector(b1, m)).bits
+            if b1 & e.pending:
+                e = resolve(r, b1)
         if b1 == 0:
             continue
-        residual = b1 & ~session.union_mask(r)
+        residual = b1 & ~e.union
         if residual:
             holes[r] = holes.get(r, 0) | residual
-        for port, vmask in session.ports_by_router.get(r, ()):
-            session.touched.add((r, port))
+        for port, vmask in e.ports:
+            touched.add((r, port))
             out = vmask & b1
             if out == 0:
                 continue
@@ -553,7 +627,7 @@ class NetworkState:
             if not changed:
                 break
         else:
-            raise RuntimeError("transform class alignment did not converge")
+            raise AlignmentDiverged("transform class alignment did not converge")
         trie.materialize_iatomic()
 
     def apply_update(self, event: UpdateEvent, *, pbr: bool = False) -> UpdateOutcome:
@@ -578,8 +652,8 @@ class NetworkState:
             self._align_transforms()
         return outcome
 
-    def affected_for(self, prefix: Prefix) -> AffectedSets:
-        return self.trie.compute_affected(prefix, clamp=True)
+    def affected_for(self, *prefixes: Prefix) -> AffectedSets:
+        return self.trie.compute_affected(*prefixes, clamp=True)
 
     def session(self, update_prefix: Prefix | None = None,
                 affected: AffectedSets | None = None) -> VerificationSession:
@@ -595,41 +669,36 @@ def merge_affected(sets: list[AffectedSets]) -> AffectedSets:
     """Union of affected-set computations taken on one trie state."""
     if len(sets) == 1:
         return sets[0]
-    width = sets[0].width
     by_id: dict[int, tuple] = {}
     for a in sets:
         for i, cid in enumerate(a.s_affected):
             if cid not in by_id:
                 by_id[cid] = (a.class_ranges[i][0], cid, a.classes[i],
-                              a.class_ranges[i], a.fwd_resolution[i],
-                              a.acl_resolution[i], a.xform_resolution[i])
+                              a.class_ranges[i], a.chains[i])
     entries = sorted(by_id.values())
     ids = tuple(e[1] for e in entries)
     classes = tuple(e[2] for e in entries)
     return AffectedSets(
         s_affected=ids,
-        p_affected=frozenset((r, p) for e in entries for r, p in e[4].items()),
         id_to_prefix=dict(zip(ids, classes)),
         classes=classes,
         class_ranges=tuple(e[3] for e in entries),
-        width=width,
-        fwd_resolution=tuple(e[4] for e in entries),
-        acl_resolution=tuple(e[5] for e in entries),
-        xform_resolution=tuple(e[6] for e in entries),
+        width=sets[0].width,
+        chains=tuple(e[4] for e in entries),
+        has_transforms=any(a.has_transforms for a in sets),
     )
 
 
 def batch_update(state: NetworkState, updates: list[UpdateEvent], src: str,
                  dst: str, b_init: StateVector | None = None
                  ) -> tuple[ReachabilityReport, AffectedSets]:
-    """Apply a batch, then answer one verification over the union of the
-    per-update affected sets. Returns the report and the merged sets."""
+    """Apply a batch, then answer one verification over the classes any of
+    the updates affected (one trie walk over the updated prefixes).
+    Returns the report and the affected sets."""
     for ev in updates:
         state.apply_update(ev)
-    if updates:
-        affected = merge_affected([state.affected_for(ev.prefix) for ev in updates])
-    else:
-        affected = state.affected_for(ROOT)
+    prefixes = [ev.prefix for ev in updates] or [ROOT]
+    affected = state.affected_for(*prefixes)
     session = state.session(affected=affected)
     report = verify_reachability(session, src, dst, b_init)
     return report, affected

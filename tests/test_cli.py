@@ -124,6 +124,20 @@ def test_bench(toy_file, tmp_path, capsys):
     assert code == 0 and "2 verifications" in out
 
 
+def test_bench_bad_batch_size(toy_file, tmp_path, capsys):
+    stream = tmp_path / "updates.txt"
+    stream.write_text("+ Q 00/2 0\n", encoding="utf-8")
+    code, _, err = run(capsys, "bench", toy_file, "--stream", str(stream),
+                       "--mode", "batch:abc")
+    assert code == 2 and err.startswith("input error: ")
+
+
+def test_gen_bad_mask_dist(capsys):
+    code, _, err = run(capsys, "gen", "--nodes", "6", "--edges", "8",
+                       "--mask-dist", "8:x")
+    assert code == 2 and err.startswith("input error: ")
+
+
 def test_gen_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "gen.net"
     code, _, _ = run(capsys, "gen", "--nodes", "6", "--edges", "8",

@@ -210,6 +210,33 @@ def test_affected_equals_interval_overlap_oracle():
         assert sorted(aff.class_ranges) == sorted(expect)
 
 
+def test_one_walk_over_many_prefixes_equals_merged_sets():
+    from netvec.verify import merge_affected
+
+    rng = random.Random(9)
+    for _ in range(40):
+        width = 8
+        trie = HeaderTrie(width)
+        prefixes = []
+        for i in range(rng.randint(2, 12)):
+            length = rng.randint(1, width)
+            p = Prefix(rng.getrandbits(length), length)
+            prefixes.append(p)
+            trie.insert_header(p, (f"r{i % 4}", i % 3))
+            if rng.random() < 0.3:
+                trie.insert_acl(p, f"r{i % 4}", False)
+        # updated prefixes: existing, nested, repeated and missing ones
+        targets = rng.sample(prefixes, rng.randint(1, len(prefixes)))
+        targets += [Prefix(rng.getrandbits(6), 6) for _ in range(2)] + targets[:1]
+        merged = merge_affected([trie.compute_affected(p, clamp=True) for p in targets])
+        walked = trie.compute_affected(*targets, clamp=True)
+        assert walked.classes == merged.classes
+        assert walked.s_affected == merged.s_affected
+        assert walked.class_ranges == merged.class_ranges
+        assert walked.chains == merged.chains
+        assert walked.p_affected == merged.p_affected
+
+
 def test_affected_visit_bound():
     trie = build(3, [("00/2", ("Y", 0)), ("000/3", ("U", 0)),
                      ("01/2", ("U", 0)), ("1/1", ("R", 2)), ("0/1", ("Q", 0))])

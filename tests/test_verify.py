@@ -1,5 +1,6 @@
 import copy
 import random
+import sys
 import threading
 
 import pytest
@@ -128,7 +129,8 @@ def test_hop_monotonicity_without_transforms():
             # replay the path: each hop may only clear bits
             bits = (1 << session.m) - 1
             for r, nxt in zip(res.path, res.path[1:]):
-                port = next(p for (p, mask) in session.ports_by_router[r]
+                ports = session.resolve(r, bits).ports
+                port = next(p for p, mask in ports
                             if link.get((r, p), (None,))[0] == nxt
                             and mask & bits)
                 _, out = _hop(session, r, port, bits, None)
@@ -203,6 +205,124 @@ def test_concurrent_queries_are_consistent():
     for t in threads:
         t.join()
     assert len(set(results)) == 1
+
+
+def test_session_answers_describe_the_network_it_was_built_on():
+    changed = 0
+    for seed in range(10):
+        spec = random_small_network(seed, gap_fraction=0.2, n_acls=1,
+                                    n_transforms=seed % 2)
+        state = NetworkState.from_spec(spec)       # copies: spec stays pre-update
+        src, dst = spec.routers[0], spec.routers[-1]
+        reached = verify_reachability(state.session(), src, dst).reachable
+        old = state.session()                      # nothing resolved yet
+        # re-point src's rule for a delivered class to a host-facing port: a
+        # winner changes on a node of that class's chain
+        covering = [p for p in spec.rules[src] for c in reached if p.contains(c)]
+        if covering:
+            pfx_ = max(covering, key=lambda p: (p.length, p.value))
+            host_port = 1 + max([pa for a, pa, _, _ in spec.edges if a == src]
+                                + [pb for _, _, b, pb in spec.edges if b == src])
+            state.apply_update(UpdateEvent("insert", src, pfx_, host_port, 0))
+
+        for a, b in ((src, dst), (dst, src)):
+            got = headers_of(verify_reachability(old, a, b).reachable, spec.width)
+            assert got == simulate_all(spec, a, b).reachable, (seed, a, b)
+            now = headers_of(verify_reachability(state.session(), a, b).reachable,
+                             spec.width)
+            changed += now != got
+        holes = {(rep.router, h) for rep in detect_blackhole(old, src)
+                 for h in headers_of(rep.headers, spec.width)}
+        covered = headers_of(old.classes, spec.width)
+        want = {(r, h) for r, h in blackhole_events(simulate_all(spec, src, None))
+                if h in covered}
+        assert holes == want, seed
+    assert changed > 0      # the update really moved some answer
+
+
+def test_answers_do_not_depend_on_query_history():
+    for seed in range(12):
+        spec = random_small_network(seed, gap_fraction=0.2, back_edges=seed % 3,
+                                    n_acls=2 if seed % 3 == 0 else 0,
+                                    n_transforms=1 if seed % 3 == 0 else 0)
+        state = NetworkState.from_spec(spec)
+        a, b = spec.routers[0], spec.routers[-1]
+
+        def queries(session, order):
+            out = {}
+            for src, dst in order:
+                out[(src, dst)] = verify_reachability(session, src, dst)
+                out[src] = (detect_loop(session, src), detect_blackhole(session, src))
+            return out
+
+        forward = queries(state.session(), [(a, b), (b, a)])
+        backward = queries(state.session(), [(b, a), (a, b)])
+        assert forward == backward, seed
+
+
+def test_concurrent_queries_match_serial_answers():
+    spec = random_small_network(3, max_nodes=16, gap_fraction=0.1, n_acls=2,
+                                n_transforms=1)
+    state = NetworkState.from_spec(spec)
+    m = state.session().m
+    # one class per query, so concurrent queries keep extending the same memos
+    work = [(a, b, StateVector(1 << j, m)) for j in range(m)
+            for a in spec.routers[:4] for b in spec.routers[-4:] if a != b]
+    serial = [verify_reachability(state.session(), a, b, v).reachable_vector
+              for a, b, v in work]
+    shared = state.session()
+    errors = []
+
+    def worker(k):
+        for i in range(k, len(work), 8):
+            if verify_reachability(shared, *work[i]).reachable_vector != serial[i]:
+                errors.append(work[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    # every memo is exactly what a fresh session resolves for the same classes
+    fresh = state.session()
+    full = (1 << shared.m) - 1
+    for router, memo in shared.memo.items():
+        again = fresh.resolve(router, full & ~memo.pending)
+        assert (memo.ports, memo.union, memo.permit) == \
+            (again.ports, again.union, again.permit)
+        assert (memo.xform is None) == (again.xform is None)
+        if memo.xform is not None:
+            assert memo.xform.columns == again.xform.columns
+
+
+def test_memo_publishes_fields_before_pending_shrinks(monkeypatch):
+    import netvec.verify as V
+
+    writes = []
+
+    class Recording(V.RouterMemo):
+        __slots__ = ()
+
+        def __setattr__(self, name, value):
+            writes.append(name)
+            super().__setattr__(name, value)
+
+    monkeypatch.setattr(V, "RouterMemo", Recording)
+    state = toy_state()
+    session = state.session()
+    m = session.m
+    for j in range(m):                  # extend Y's memo one class at a time
+        writes.clear()
+        session.resolve("Y", 1 << j)
+        assert writes[-1] == "pending" and "ports" in writes[:-1], writes
+    assert session.memo["Y"].pending == 0
 
 
 # ----------------------------------------------------------------------
