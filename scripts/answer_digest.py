@@ -1,0 +1,204 @@
+#!/usr/bin/env python3
+"""One sha256 over netvec's answers on a seeded network.
+
+    PYTHONPATH=src python3 scripts/answer_digest.py --shape network --seed 7 --count 2000
+    PYTHONPATH=src python3 scripts/answer_digest.py --shape repair --seed 41 --count 60
+
+Run it with the `src/` of two checkouts on PYTHONPATH and compare the
+printed digests: equal digests mean bit-identical answers. Only the public
+API of `netvec` is used, so any two versions of it can be compared.
+
+network: `--count` queries on one root session of a synthetic network with
+ACL entries, header rewrites and rule gaps, cycling reach, loop, reach,
+blackhole between seeded router pairs. The digest covers reachable
+classes, every `per_path` entry in order (path, final vector, per-hop
+errors), paths explored, loop cycles and headers, blackhole routers and
+headers, and the number of ports each reach and blackhole query touched.
+Loop queries' touched counts are left out: whether ports after the one
+closing a cycle count depends on where a version stops scanning a router.
+
+repair: `--count` cycles on a small network whose rewrites sit on one
+router. A cycle is one `batch_update` over churn on withheld rules plus the
+deletion of one intent's rule at its source; when the intent is lost,
+`rectify` runs. The digest covers each cycle's reachable classes (or the
+error name) and rectify's fixes and achieved classes (or the error name).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import random
+from collections import deque
+
+from netvec.dataset import UpdateEvent, generate_synthetic
+from netvec.errors import NetvecError
+from netvec.prefixes import Prefix
+from netvec.rectify import rectify
+from netvec.verify import (NetworkState, batch_update, detect_blackhole,
+                           detect_loop, verify_reachability)
+
+MASKS = {8: 1, 10: 2, 12: 4, 14: 6, 16: 8}
+QUERY_MIX = ("reach", "loop", "reach", "blackhole")
+CHURN_PER_CYCLE = 8
+
+
+def _key(p: Prefix):
+    return (p.value, p.length)
+
+
+def build(seed: int, nodes: int, edges: int, prefixes: int, acls: int,
+          rewrites: int, rewrite_routers: int | None, rng: random.Random):
+    """A shortest-path network plus seeded ACL entries and rewrites on
+    prefixes that already carry rules."""
+    spec = generate_synthetic(nodes, edges, prefixes, mask_distribution=MASKS,
+                              seed=seed, width=16)
+    known = sorted({p for t in spec.rules.values() for p in t}, key=_key)
+    for _ in range(acls):
+        router = rng.choice(spec.routers)
+        spec.acls.setdefault(router, {})[rng.choice(known)] = rng.random() < 0.3
+    hosts = rng.sample(spec.routers, rewrite_routers) if rewrite_routers else spec.routers
+    added = 0
+    while added < rewrites:
+        router = rng.choice(hosts)
+        match = rng.choice(known)
+        out = Prefix(rng.getrandbits(match.length), match.length)
+        if out == match or match in spec.transforms.get(router, {}):
+            continue
+        spec.transforms.setdefault(router, {})[match] = out
+        added += 1
+    return spec
+
+
+def withhold(spec, rng: random.Random, count: int) -> list[tuple[str, Prefix, int]]:
+    rules = [(r, p) for r in spec.routers for p in sorted(spec.rules[r], key=_key)]
+    return [(r, p, spec.rules[r].pop(p)) for r, p in rng.sample(rules, count)]
+
+
+def classes(prefixes) -> str:
+    return " ".join(sorted(str(p) for p in prefixes))
+
+
+def network_digest(seed: int, count: int) -> str:
+    rng = random.Random(f"{seed}:policy")
+    spec = build(seed, 60, 240, 400, 30, 12, None, rng)
+    withhold(spec, rng, spec.rule_count // 50)
+    state = NetworkState.from_spec(spec)
+    session = state.session()
+    queries = random.Random(f"{seed}:queries")
+    h = hashlib.sha256()
+    for i in range(count):
+        kind = QUERY_MIX[i % len(QUERY_MIX)]
+        src, dst = queries.sample(spec.routers, 2)
+        session.touched = set()
+        if kind == "reach":
+            rep = verify_reachability(session, src, dst)
+            lines = [f"reach {src} {dst} {rep.paths_explored} {rep.truncated} "
+                     f"{len(session.touched)} {classes(rep.reachable)}"]
+            for res in rep.per_path:
+                errs = " ".join(f"{r}:{e!r}" for r, e in res.per_hop_errors)
+                lines.append(f"  {'/'.join(res.path)} {res.b_final.bits:x} {errs}")
+        elif kind == "loop":
+            rep = detect_loop(session, src)
+            lines = [f"loop {src} {rep.cycle} {classes(rep.headers)}"]
+        else:
+            reps = detect_blackhole(session, src)
+            lines = [f"blackhole {src} {len(session.touched)}"]
+            lines += [f"  {r.router} {classes(r.headers)}" for r in reps]
+        h.update("\n".join(lines).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _route_to(spec, adj, dst: str, prefix: Prefix) -> None:
+    """Shortest-path rules for `prefix` at every router, delivered at `dst`."""
+    toward = {dst: None}
+    queue = deque([dst])
+    while queue:
+        u = queue.popleft()
+        for _, v in adj[u]:
+            if v not in toward:
+                toward[v] = next(p for p, w in adj[v] if w == u)
+                queue.append(v)
+    for r in spec.routers:
+        host_port = 1 + max((p for p, _ in adj[r]), default=-1)
+        spec.rules[r][prefix] = host_port if r == dst else toward[r]
+
+
+def add_intents(spec, rng: random.Random, count: int, taken) -> list[tuple]:
+    """Full-length prefixes no rule, ACL, rewrite or withheld rule covers,
+    routed to a random home: (src, dst, prefix, src's port)."""
+    width = spec.width
+    used = set(taken) | {p for t in spec.rules.values() for p in t}
+    used |= {p for t in spec.acls.values() for p in t}
+    for t in spec.transforms.values():
+        used |= set(t) | set(t.values())
+    adj: dict[str, list[tuple[int, str]]] = {r: [] for r in spec.routers}
+    for a, pa, b, pb in spec.edges:
+        adj[a].append((pa, b))
+        adj[b].append((pb, a))
+    for entries in adj.values():
+        entries.sort()
+    intents = []
+    while len(intents) < count:
+        header = rng.getrandbits(width)
+        if any(Prefix(header >> (width - n), n) in used for n in range(width + 1)):
+            continue
+        prefix = Prefix(header, width)
+        used.add(prefix)
+        dst = rng.choice(spec.routers)
+        src = rng.choice([r for r in spec.routers if r != dst])
+        _route_to(spec, adj, dst, prefix)
+        intents.append((src, dst, prefix, spec.rules[src][prefix]))
+    return intents
+
+
+def repair_digest(seed: int, count: int) -> str:
+    rng = random.Random(f"{seed}:policy")
+    spec = build(seed, 14, 60, 200, 10, 4, 1, rng)
+    withheld = withhold(spec, rng, 600)
+    intents = add_intents(spec, rng, count, {p for _, p, _ in withheld})
+    state = NetworkState.from_spec(spec)
+    churn = random.Random(f"{seed}:churn")
+    present: set[int] = set()
+    seq = 0
+    h = hashlib.sha256()
+    for src, dst, prefix, port in intents:
+        events = []
+        for _ in range(CHURN_PER_CYCLE):
+            i = churn.randrange(len(withheld))
+            router, p, q = withheld[i]
+            events.append(UpdateEvent("delete" if i in present else "insert",
+                                      router, p, q, seq))
+            present ^= {i}
+            seq += 1
+        events.append(UpdateEvent("delete", src, prefix, port, seq))
+        seq += 1
+        try:
+            report, _ = batch_update(state, events, src, dst)
+        except NetvecError as exc:
+            h.update(f"batch {prefix} {type(exc).__name__}\n".encode())
+            continue
+        line = f"batch {prefix} {classes(report.reachable)}"
+        if prefix not in report.reachable:
+            try:
+                result = rectify(state, src, dst, {prefix})
+                fixes = " ".join(f"{f.router}:{f.prefix}:{f.port}" for f in result.fixes)
+                line += f"\n  fixes {fixes} achieved {classes(result.achieved)}"
+            except NetvecError as exc:
+                line += f"\n  rectify {type(exc).__name__}"
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--shape", choices=["network", "repair"], required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--count", type=int, required=True)
+    args = ap.parse_args(argv)
+    digest = network_digest if args.shape == "network" else repair_digest
+    print(digest(args.seed, args.count))
+
+
+if __name__ == "__main__":
+    main()

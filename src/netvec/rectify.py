@@ -16,7 +16,9 @@ from .dataset import UpdateEvent
 from .errors import NoPath, RectificationImpossible, UnknownRouter
 from .prefixes import Prefix
 from .trie import AffectedSets
-from .vectors import StateVector, apply_transform
+# apply_transform is not called here (hops go through session.enter) but
+# stays bound: tracing tools wrap it in every module that imports it.
+from .vectors import StateVector, apply_transform  # noqa: F401
 from .verify import (NetworkState, ReachabilityReport, VerificationSession,
                      verify_reachability)
 
@@ -75,27 +77,6 @@ def _simple_paths(topology, src: str, dst: str, max_len: int | None,
     return found
 
 
-def _hop(session: VerificationSession, router: str, port: int, bits: int,
-         overlay: dict[tuple[str, int], int] | None) -> tuple[int, int]:
-    """One filter/rewrite/project step along a fixed port.
-
-    Returns (pre, post): the vector entering the projection and the vector
-    leaving on the port.
-    """
-    e = session.memo.get(router)
-    if e is None or bits & e.pending:
-        e = session.resolve(router, bits)
-    b1 = bits if e.permit is None else bits & e.permit
-    if e.xform is not None:
-        b1 = apply_transform(e.xform, StateVector(b1, session.m)).bits
-        if b1 & e.pending:
-            e = session.resolve(router, b1)
-    vmask = e.by_port.get(port, 0)
-    if overlay:
-        vmask |= overlay.get((router, port), 0)
-    return b1, vmask & b1
-
-
 def path_quality(session: VerificationSession, src: str, dst: str, *,
                  b_init: StateVector | None = None, max_len: int | None = None,
                  max_paths: int = 20000) -> list[PathQuality]:
@@ -111,12 +92,14 @@ def path_quality(session: VerificationSession, src: str, dst: str, *,
     candidates = _simple_paths(session.topology, src, dst, max_len, max_paths)
     if not candidates:
         raise NoPath(f"{dst} is not connected to {src}")
+    enter = session.enter
     scored = []
     for routers, ports in candidates:
         bits = b_init.bits
         per_node = []
         for r, port in zip(routers[:-1], ports):
-            pre, post = _hop(session, r, port, bits, None)
+            e, pre = enter(r, bits)
+            post = e.by_port.get(port, 0) & pre
             per_node.append((r, math.sqrt((pre ^ post).bit_count())))
             bits = post
         total = sum(err for _, err in per_node)
@@ -199,10 +182,11 @@ def rectify(state: NetworkState, src: str, dst: str, intent: set[Prefix], *,
         trial_fixes: list[RuleFix] = []
         bits = (1 << session.m) - 1
         for r, port in zip(routers[:-1], ports):
-            pre, out = _hop(session, r, port, bits, trial_overlay)
+            e, pre = session.enter(r, bits)
+            out = (e.by_port.get(port, 0) | trial_overlay.get((r, port), 0)) & pre
             blocked = pre & remaining & ~out
             if blocked:
-                forwarded = session.memo[r].union     # resolved for pre by _hop
+                forwarded = e.union
                 for (rr, _), extra in trial_overlay.items():
                     if rr == r:
                         forwarded |= extra

@@ -21,7 +21,7 @@ from .errors import (AlignmentDiverged, DimensionMismatch, InconsistentTable,
 from .prefixes import ROOT, Prefix
 from .trie import AffectedSets, HeaderTrie, UpdateOutcome
 from .vectors import (ForwardingVector, StateVector, TransformMatrix,
-                      apply_transform)
+                      apply_transform, mask_of)
 
 
 @dataclass
@@ -44,11 +44,21 @@ class Topology:
                 return edge
         raise UnknownLink(f"no link {a}:{pa}-{b}:{pb}")
 
-    def remove_edge(self, edge: tuple[str, int, str, int]) -> None:
+    def remove_edge(self, edge: tuple[str, int, str, int]) -> int:
+        """Drop `edge`; returns its index in `edges` for `restore_edge`."""
         a, pa, b, pb = edge
-        self.edges.remove(edge)
+        index = self.edges.index(edge)
+        del self.edges[index]
         del self.port_link[(a, pa)]
         del self.port_link[(b, pb)]
+        return index
+
+    def restore_edge(self, edge: tuple[str, int, str, int], index: int) -> None:
+        """Undo `remove_edge`."""
+        a, pa, b, pb = edge
+        self.edges.insert(index, edge)
+        self.port_link[(a, pa)] = (b, pb)
+        self.port_link[(b, pb)] = (a, pa)
 
 
 # ----------------------------------------------------------------------
@@ -118,34 +128,31 @@ def _set_bits(mask: int) -> list[int]:
     return out
 
 
-def _mask_of(indices: list[int], m: int) -> int:
-    """The m-bit mask with exactly `indices` set (linear in m, not in
-    m times the index count as repeated ORs of big ints would be)."""
-    buf = bytearray((m + 7) >> 3)
-    for j in indices:
-        buf[j >> 3] |= 1 << (j & 7)
-    return int.from_bytes(buf, "little")
-
-
 class RouterMemo:
     """What a session has resolved for one router.
 
     ``pending`` marks the classes not resolved yet (the complement of the
     resolved-class mask, so a hop tests it with one AND); the other fields
-    cover every resolved class and only grow. ``ports`` holds the
-    ``(port, mask)`` pairs in ascending port order and ``by_port`` the same
-    masks by port, ``union`` is the OR of the masks, ``permit`` the classes
-    the router's ACL lets through (None while no resolved class is denied)
-    and ``xform`` the rewrite matrix (explicit columns for resolved
-    rewritten classes), or None while no resolved class is rewritten.
+    cover every resolved class and only grow. ``by_port`` maps each port to
+    its mask in ascending port order; ``links`` holds the ``(mask,
+    peer_router)`` pairs of the linked ones in the same order (host-facing
+    ports deliver, so a traversal never follows them) and ``keys`` the
+    ``(router, port)`` pairs of every port, which a hop adds to the
+    session's ``touched`` set at once. ``union`` is the OR of the masks,
+    ``permit`` the classes the router's ACL lets through (None while no
+    resolved class is denied) and ``xform`` the rewrite matrix (explicit
+    columns for resolved rewritten classes), or None while no resolved
+    class is rewritten.
     """
 
-    __slots__ = ("pending", "ports", "by_port", "union", "permit", "xform")
+    __slots__ = ("pending", "by_port", "links", "keys", "union", "permit",
+                 "xform")
 
     def __init__(self, m: int):
         self.pending = (1 << m) - 1
-        self.ports: tuple[tuple[int, int], ...] = ()
         self.by_port: dict[int, int] = {}
+        self.links: tuple[tuple[int, str], ...] = ()
+        self.keys: frozenset[tuple[str, int]] = frozenset()
         self.union = 0
         self.permit: int | None = None
         self.xform: TransformMatrix | None = None
@@ -159,7 +166,9 @@ class VerificationSession:
     there, and extended when later visits carry classes not yet resolved.
     The chains it resolves from are snapshots, so answers describe the
     network as it was when the affected set was computed, whatever updates
-    follow. Sessions may be queried from several threads: memo writers
+    follow. Link peers are read from the topology when a router is
+    resolved, so the topology must not change while the session is
+    queried. Sessions may be queried from several threads: memo writers
     hold a lock and publish every other field before shrinking
     ``pending``, and readers test ``pending`` first.
     """
@@ -191,7 +200,7 @@ class VerificationSession:
 
     def _extend(self, router: str, memo: RouterMemo, need: int) -> None:
         chains = self.affected.chains
-        by_port: dict[int, list[int]] = {}
+        found: dict[int, list[int]] = {}      # port -> newly resolved classes
         denied: list[int] = []
         columns: dict[int, int] = {}
         for j in _set_bits(need):
@@ -199,7 +208,7 @@ class VerificationSession:
             for owners, _, _, _ in reversed(chain):
                 port = owners.get(router)
                 if port is not None:
-                    by_port.setdefault(port, []).append(j)
+                    found.setdefault(port, []).append(j)
                     break
             for _, acl, _, _ in reversed(chain):
                 permit = acl.get(router)
@@ -213,23 +222,52 @@ class VerificationSession:
                     columns[j] = self._image(j, match_lo, out)
                     break
         m = self.m
-        ports = dict(memo.by_port)
+        masks = dict(memo.by_port)
         union = memo.union
-        for port, js in by_port.items():
-            mask = _mask_of(js, m)
-            ports[port] = ports.get(port, 0) | mask
+        for port, js in found.items():
+            mask = mask_of(js, m)
+            masks[port] = masks.get(port, 0) | mask
             union |= mask
-        memo.by_port = dict(sorted(ports.items()))
-        memo.ports = tuple(memo.by_port.items())
+        link = self.topology.port_link
+        by_port: dict[int, int] = {}
+        links = []
+        keys = []
+        for port, mask in sorted(masks.items()):
+            by_port[port] = mask
+            key = (router, port)
+            keys.append(key)
+            peer = link.get(key)
+            if peer is not None:
+                links.append((mask, peer[0]))
+        memo.by_port = by_port
+        memo.links = tuple(links)
+        memo.keys = frozenset(keys)
         memo.union = union
         if denied:
             permit = (1 << m) - 1 if memo.permit is None else memo.permit
-            memo.permit = permit & ~_mask_of(denied, m)
+            memo.permit = permit & ~mask_of(denied, m)
         if columns:
             if memo.xform is not None:
                 columns = {**memo.xform.columns, **columns}
             memo.xform = TransformMatrix(m, columns)
         memo.pending &= ~need
+
+    def enter(self, router: str, bits: int) -> tuple[RouterMemo, int]:
+        """One hop's prologue: the classes of `bits` that pass the router's
+        ACL and then its rewrite, with the router's memo resolved for them.
+
+        Every traversal calls this before projecting onto ports.
+        """
+        e = self.memo.get(router)
+        if e is None or bits & e.pending:
+            e = self.resolve(router, bits)
+        if e.permit is not None:
+            bits &= e.permit
+        if e.xform is not None:
+            bits = apply_transform(e.xform, StateVector(bits, self.m)).bits
+            if bits & e.pending:
+                e = self.resolve(router, bits)
+        return e, bits
 
     def _image(self, j: int, match_lo: int, out: Prefix) -> int:
         """Classes covering class j's range rewritten from match to out."""
@@ -247,7 +285,7 @@ class VerificationSession:
             if ranges[i][1] <= img_hi:
                 rows.append(i)
             i += 1
-        return _mask_of(rows, self.m)
+        return mask_of(rows, self.m)
 
     def _resolve_all(self, routers) -> dict[str, RouterMemo]:
         full = (1 << self.m) - 1
@@ -259,7 +297,7 @@ class VerificationSession:
         every owning router; for inspection, not used by queries)."""
         memos = self._resolve_all({r for r, _ in self.affected.p_affected})
         return {(r, p): ForwardingVector(mask, self.m, (r, p))
-                for r, memo in memos.items() for p, mask in memo.ports}
+                for r, memo in memos.items() for p, mask in memo.by_port.items()}
 
     @property
     def transforms(self) -> dict[str, TransformMatrix]:
@@ -301,6 +339,20 @@ def build_session(affected: AffectedSets, topology: Topology,
 # ----------------------------------------------------------------------
 # traversals
 
+def _start_bits(session: VerificationSession, routers: tuple[str, ...],
+                b_init: StateVector | None) -> int:
+    """Check a query's routers and initial vector; the classes it starts with."""
+    for r in routers:
+        if r not in session.topology.nodes:
+            raise UnknownRouter(r)
+    m = session.m
+    if b_init is None:
+        return (1 << m) - 1
+    if b_init.width != m:
+        raise DimensionMismatch(f"b_init width {b_init.width} != {m}")
+    return b_init.bits
+
+
 def verify_reachability(session: VerificationSession, src: str, dst: str,
                         b_init: StateVector | None = None, *,
                         max_paths: int | None = None,
@@ -311,26 +363,16 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
     pruning key is the (router, vector) pair instead, since a rewrite can
     legitimately route changed traffic back through an earlier router.
     """
-    topo = session.topology
-    for r in (src, dst):
-        if r not in topo.nodes:
-            raise UnknownRouter(r)
+    start = _start_bits(session, (src, dst), b_init)
     m = session.m
-    if b_init is None:
-        b_init = StateVector.ones(m)
-    if b_init.width != m:
-        raise DimensionMismatch(f"b_init width {b_init.width} != {m}")
-
     if src == dst:
-        path = PathResult((src,), b_init, ())
+        vector = StateVector(start, m)
         return ReachabilityReport(
-            reachable=session.decode(b_init.bits), per_path=(path,),
+            reachable=session.decode(start), per_path=(PathResult((src,), vector, ()),),
             total_paths=1, paths_explored=1, truncated=False,
-            reachable_vector=b_init)
+            reachable_vector=vector)
 
-    memo = session.memo
-    resolve = session.resolve
-    link = topo.port_link
+    enter = session.enter
     touched = session.touched
     by_state = session.has_transforms
 
@@ -338,7 +380,7 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
     truncated = False
     explored = 0
     # entries: router, incoming bits, path so far, per-hop errors, visited states
-    stack = [(src, b_init.bits, (), (), ())]
+    stack = [(src, start, (), (), ())]
     while stack:
         r, bits, path, errs, states = stack.pop()
         explored += 1
@@ -351,27 +393,16 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
         if max_hops is not None and len(path) >= max_hops:
             truncated = True
             continue
-        e = memo.get(r)
-        if e is None or bits & e.pending:
-            e = resolve(r, bits)
-        b1 = bits if e.permit is None else bits & e.permit
-        if e.xform is not None:
-            b1 = apply_transform(e.xform, StateVector(b1, m)).bits
-            if b1 & e.pending:
-                e = resolve(r, b1)
+        e, b1 = enter(r, bits)
         if b1 == 0:
             continue
         new_path = path + (r,)
         new_states = states + ((r, bits),) if by_state else ()
-        for port, vmask in e.ports:
-            touched.add((r, port))
+        touched |= e.keys
+        for vmask, nr in e.links:
             out = vmask & b1
             if out == 0:
                 continue
-            peer = link.get((r, port))
-            if peer is None:
-                continue                        # host-facing: exits here
-            nr = peer[0]
             if by_state:
                 if (nr, out) in new_states:
                     continue
@@ -399,44 +430,25 @@ def detect_loop(session: VerificationSession, src: str,
 
     A cycle is confirmed when the next hop already lies on the current path
     and the projected vector is still non-zero; the live classes at that
-    point are the looping headers.
+    point are the looping headers. Like the other traversals it adds every
+    port of each router it enters to ``session.touched``, including ports
+    after the one that closes the cycle.
     """
-    topo = session.topology
-    if src not in topo.nodes:
-        raise UnknownRouter(src)
-    m = session.m
-    if b_init is None:
-        b_init = StateVector.ones(m)
-    if b_init.width != m:
-        raise DimensionMismatch(f"b_init width {b_init.width} != {m}")
-
-    memo = session.memo
-    resolve = session.resolve
-    link = topo.port_link
+    start = _start_bits(session, (src,), b_init)
+    enter = session.enter
     touched = session.touched
-    stack = [(src, b_init.bits, ())]
+    stack = [(src, start, ())]
     while stack:
         r, bits, path = stack.pop()
-        e = memo.get(r)
-        if e is None or bits & e.pending:
-            e = resolve(r, bits)
-        b1 = bits if e.permit is None else bits & e.permit
-        if e.xform is not None:
-            b1 = apply_transform(e.xform, StateVector(b1, m)).bits
-            if b1 & e.pending:
-                e = resolve(r, b1)
+        e, b1 = enter(r, bits)
         if b1 == 0:
             continue
         new_path = path + (r,)
-        for port, vmask in e.ports:
-            touched.add((r, port))
+        touched |= e.keys
+        for vmask, nr in e.links:
             out = vmask & b1
             if out == 0:
                 continue
-            peer = link.get((r, port))
-            if peer is None:
-                continue
-            nr = peer[0]
             if nr in new_path:
                 cycle = new_path[new_path.index(nr):]
                 return LoopReport(cycle=cycle, headers=session.decode(out))
@@ -452,46 +464,26 @@ def detect_blackhole(session: VerificationSession, src: str,
     (memoized, so cyclic networks terminate) and reports, per router, the
     classes that arrive but match no forwarding rule there.
     """
-    topo = session.topology
-    if src not in topo.nodes:
-        raise UnknownRouter(src)
-    m = session.m
-    if b_init is None:
-        b_init = StateVector.ones(m)
-    if b_init.width != m:
-        raise DimensionMismatch(f"b_init width {b_init.width} != {m}")
-
-    memo = session.memo
-    resolve = session.resolve
-    link = topo.port_link
+    start = _start_bits(session, (src,), b_init)
+    enter = session.enter
     touched = session.touched
     holes: dict[str, int] = {}
-    seen = {(src, b_init.bits)}
-    stack = [(src, b_init.bits)]
+    seen = {(src, start)}
+    stack = [(src, start)]
     while stack:
         r, bits = stack.pop()
-        e = memo.get(r)
-        if e is None or bits & e.pending:
-            e = resolve(r, bits)
-        b1 = bits if e.permit is None else bits & e.permit
-        if e.xform is not None:
-            b1 = apply_transform(e.xform, StateVector(b1, m)).bits
-            if b1 & e.pending:
-                e = resolve(r, b1)
+        e, b1 = enter(r, bits)
         if b1 == 0:
             continue
         residual = b1 & ~e.union
         if residual:
             holes[r] = holes.get(r, 0) | residual
-        for port, vmask in e.ports:
-            touched.add((r, port))
+        touched |= e.keys
+        for vmask, nr in e.links:
             out = vmask & b1
             if out == 0:
                 continue
-            peer = link.get((r, port))
-            if peer is None:
-                continue
-            state = (peer[0], out)
+            state = (nr, out)
             if state not in seen:
                 seen.add(state)
                 stack.append(state)
@@ -652,6 +644,46 @@ class NetworkState:
             self._align_transforms()
         return outcome
 
+    def apply_updates(self, events: list[UpdateEvent]) -> list[tuple]:
+        """Apply `events` in order, all or none.
+
+        Returns the undo log that `undo` takes. If an event raises, the
+        events before it are undone and the error propagates, so the state
+        is as it was before the call.
+        """
+        log: list[tuple[str, Prefix, int | None, bool]] = []
+        try:
+            for ev in events:
+                port = self.spec.rules.get(ev.router, {}).get(ev.prefix)
+                log.append((ev.router, ev.prefix, port, ev.prefix in self.homes))
+                self.apply_update(ev)
+        except BaseException:
+            self.undo(log)
+            raise
+        return log
+
+    def undo(self, log: list[tuple]) -> None:
+        """Put back, newest first, the rule each logged event found (an
+        insert that replaced a port gets that port back) and drop the homes
+        the events added."""
+        rules = self.spec.rules
+        for router, prefix, port, had_home in reversed(log):
+            table = rules.get(router)
+            if table is None:
+                continue                        # the event was refused
+            current = table.get(prefix)
+            if current != port:
+                if port is None:
+                    self.trie.delete_header(prefix, (router, current))
+                    del table[prefix]
+                else:
+                    self.trie.insert_header(prefix, (router, port))
+                    table[prefix] = port
+            if not had_home:
+                self.homes.pop(prefix, None)
+        if log and self.spec.transforms:
+            self._align_transforms()
+
     def affected_for(self, *prefixes: Prefix) -> AffectedSets:
         return self.trie.compute_affected(*prefixes, clamp=True)
 
@@ -689,26 +721,40 @@ def merge_affected(sets: list[AffectedSets]) -> AffectedSets:
     )
 
 
+def _update_and_verify(state: NetworkState, updates: list[UpdateEvent], src: str,
+                       dst: str, b_init: StateVector | None
+                       ) -> tuple[ReachabilityReport, AffectedSets, list[tuple]]:
+    """`batch_update`, also returning the batch's undo log."""
+    log = state.apply_updates(updates)
+    try:
+        prefixes = [ev.prefix for ev in updates] or [ROOT]
+        affected = state.affected_for(*prefixes)
+        session = state.session(affected=affected)
+        report = verify_reachability(session, src, dst, b_init)
+    except BaseException:
+        state.undo(log)
+        raise
+    return report, affected, log
+
+
 def batch_update(state: NetworkState, updates: list[UpdateEvent], src: str,
                  dst: str, b_init: StateVector | None = None
                  ) -> tuple[ReachabilityReport, AffectedSets]:
     """Apply a batch, then answer one verification over the classes any of
     the updates affected (one trie walk over the updated prefixes).
-    Returns the report and the affected sets."""
-    for ev in updates:
-        state.apply_update(ev)
-    prefixes = [ev.prefix for ev in updates] or [ROOT]
-    affected = state.affected_for(*prefixes)
-    session = state.session(affected=affected)
-    report = verify_reachability(session, src, dst, b_init)
+    Returns the report and the affected sets. If an update or the
+    verification raises, the state is left as it was before the call."""
+    report, affected, _ = _update_and_verify(state, updates, src, dst, b_init)
     return report, affected
 
 
 def whatif_link_down(state: NetworkState, link: tuple[str, int, str, int],
                      src: str, dst: str) -> WhatIfResult:
     """Fail a link: drop the edge, delete the rules that forwarded over it,
-    and verify reachability as one batch."""
-    edge = state.topology.find_edge(*link)
+    and verify reachability as one batch. The edge and the rules are put
+    back before returning, so the state is left as it was."""
+    topo, spec = state.topology, state.spec
+    edge = topo.find_edge(*link)
     a, pa, b, pb = edge
     deletions: list[UpdateEvent] = []
     seq = 0
@@ -718,7 +764,13 @@ def whatif_link_down(state: NetworkState, link: tuple[str, int, str, int],
             if rule_port == port:
                 deletions.append(UpdateEvent("delete", router, pfx, port, seq))
                 seq += 1
-    state.topology.remove_edge(edge)
-    state.spec.edges.remove(edge)
-    report, _ = batch_update(state, deletions, src, dst)
+    spec_index = spec.edges.index(edge)
+    topo_index = topo.remove_edge(edge)
+    del spec.edges[spec_index]
+    try:
+        report, _, log = _update_and_verify(state, deletions, src, dst, None)
+        state.undo(log)
+    finally:
+        topo.restore_edge(edge, topo_index)
+        spec.edges.insert(spec_index, edge)
     return WhatIfResult(triggered_deletions=len(deletions), report=report)

@@ -98,6 +98,33 @@ def test_transform_dimension_mismatch():
         apply_transform(TransformMatrix.identity(3), sv([1, 0]))
 
 
+def test_transform_moved_mask_is_the_or_of_its_column_keys():
+    rng = random.Random(9)
+    for _ in range(50):
+        m = rng.randint(1, 200)
+        keys = rng.sample(range(m), rng.randint(0, min(m, 25)))
+        t = TransformMatrix(m, {k: rng.getrandbits(m) for k in keys})
+        want = 0
+        for k in keys:
+            want |= 1 << k
+        assert t.moved == want
+    assert TransformMatrix.identity(7).moved == 0
+
+
+def test_transform_columns_are_read_only():
+    t = TransformMatrix(4, {2: 0b0011})
+    with pytest.raises(TypeError):
+        t.columns[1] = 0b0100
+    with pytest.raises(TypeError):
+        del t.columns[2]
+    assert dict(t.columns) == {2: 0b0011} and t.moved == 0b0100
+
+
+def test_transform_rejects_columns_outside_its_width():
+    with pytest.raises(DimensionMismatch):
+        TransformMatrix(4, {4: 0b0001})
+
+
 # ----------------------------------------------------------------------
 # filter / union / residual
 
