@@ -1,19 +1,14 @@
 """Dataplane verification over prefix equivalence classes and bit vectors."""
 
 from .errors import (AlignmentDiverged, DimensionMismatch, DuplicateEdge,
-                     EmptyInput, InconsistentTable, InfeasibleParameters,
-                     InvalidPair, MissingMapping, NetvecError, NoPath,
-                     NodeMissing, NonOrthonormalColumns, NotFound, ParseError,
-                     PbrProtected, PrefixTooLong, RectificationImpossible,
-                     UnknownLink, UnknownRouter, WidthTooLarge)
+                     InfeasibleParameters, NetvecError, NoPath, NodeMissing,
+                     NonOrthonormalColumns, NotFound, ParseError, PbrProtected,
+                     PrefixTooLong, RectificationImpossible, UnknownLink,
+                     UnknownRouter, WidthTooLarge)
 from .prefixes import ROOT, Prefix, format_prefix, parse_prefix
 from .trie import AffectedSets, HeaderTrie, Label, TrieNode, UpdateOutcome
-from .vectors import (ForwardCase, FilterVector, ForwardingVector, StateVector,
-                      TransformMatrix, accumulate_reachable, apply_filter,
-                      apply_transform, basis_matrix, blackhole_residual,
-                      classify_case, decode_reachable, encode,
-                      least_squares_reference, project, projection_error,
-                      union_forwarding)
+from .vectors import (ForwardingVector, StateVector, TransformMatrix,
+                      apply_transform)
 from .dataset import (BenchRecord, CdfSummary, NetworkSpec, UpdateEvent,
                       generate_synthetic, parse_network, parse_update_stream,
                       run_update_stream, serialize_network,
@@ -21,9 +16,8 @@ from .dataset import (BenchRecord, CdfSummary, NetworkSpec, UpdateEvent,
 from .verify import (BlackholeReport, LoopReport, NetworkState, PathResult,
                      PolicyReport, PolicyViolation, ReachabilityReport,
                      Topology, VerificationSession, WhatIfResult, batch_update,
-                     build_session, check_policy, detect_blackhole,
-                     detect_loop, merge_affected, verify_reachability,
-                     whatif_link_down)
+                     check_policy, detect_blackhole, detect_loop,
+                     merge_affected, verify_reachability, whatif_link_down)
 from .rectify import (PathQuality, RectifyResult, RuleFix, apply_fixes,
                       cover_classes, path_quality, rectify)
 

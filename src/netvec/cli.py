@@ -201,21 +201,16 @@ def cmd_bench(args) -> int:
     spec = parse_network(state_text)
     stream = parse_update_stream(Path(args.stream).read_text(encoding="utf-8"),
                                  spec.width)
-    mode = args.mode
+    mode, sep, size = args.mode.partition(":")
     batch_size = 100
-    if mode.startswith("batch"):
-        if ":" in mode:
-            mode, _, size = mode.partition(":")
-            try:
-                batch_size = int(size)
-            except ValueError:
-                batch_size = 0
-            if batch_size < 1:
-                raise ParseError(f"bad --mode {args.mode!r}; expected batch:N with N >= 1")
-        mode = "batch"
-    elif mode != "per-update":
-        print(f"bad --mode {args.mode!r}", file=sys.stderr)
-        return 2
+    if mode == "batch" and sep:
+        try:
+            batch_size = int(size)
+        except ValueError:
+            batch_size = 0
+    if mode not in ("batch", "per-update") or (sep and mode != "batch") or batch_size < 1:
+        raise ParseError(f"bad --mode {args.mode!r}; expected per-update or "
+                         "batch[:N] with N >= 1")
     records, summary = run_update_stream(spec, stream, mode=mode,
                                          batch_size=batch_size, seed=args.seed)
     payload = {
@@ -347,10 +342,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NetvecError as exc:

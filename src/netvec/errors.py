@@ -25,27 +25,7 @@ class DimensionMismatch(NetvecError):
     pass
 
 
-class EmptyInput(NetvecError):
-    pass
-
-
-class InvalidPair(NetvecError):
-    pass
-
-
-class MissingMapping(NetvecError):
-    pass
-
-
-class NonOrthonormalColumns(NetvecError):
-    pass
-
-
 # --- verification ---
-
-class InconsistentTable(NetvecError):
-    pass
-
 
 class UnknownRouter(NetvecError):
     pass
@@ -94,4 +74,8 @@ class InfeasibleParameters(NetvecError):
 # --- oracle ---
 
 class WidthTooLarge(NetvecError):
+    pass
+
+
+class NonOrthonormalColumns(NetvecError):
     pass

@@ -1,18 +1,23 @@
-"""Brute-force ground truth: per-packet simulation and interval splitting.
+"""Brute-force ground truth: per-packet simulation, interval splitting and
+the dense least-squares projection.
 
 Everything here works on raw header integers straight off a NetworkSpec, with
 its own longest-prefix matching; it deliberately shares no code with the trie
 or the vector engine it is used to check. Policy decisions (LPM tie-breaking,
 default-permit ACLs, deepest-match rewrites, delivery on host-facing ports)
 mirror the documented choices of the main engine, the implementations do not.
+The projection of a state vector b onto a port's subspace, which the engine
+computes as one AND, is solved here with real linear algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dataset import NetworkSpec
-from .errors import WidthTooLarge
+from .errors import DimensionMismatch, NonOrthonormalColumns, WidthTooLarge
 
 EXHAUSTIVE_WIDTH_LIMIT = 16
 
@@ -162,3 +167,36 @@ def interval_partition(prefixes, width: int) -> list[tuple[int, int]]:
 
     split(0, (1 << width) - 1, ranges)
     return cells
+
+
+def basis_matrix(v) -> np.ndarray:
+    """Standard-basis column matrix selecting the live coordinates of `v`
+    (anything with ``bits`` and ``width``, such as a ForwardingVector)."""
+    cols = [j for j in range(v.width) if (v.bits >> j) & 1]
+    a = np.zeros((v.width, len(cols)))
+    for n, j in enumerate(cols):
+        a[j, n] = 1.0
+    return a
+
+
+def least_squares_reference(a: np.ndarray, b: np.ndarray) -> dict[str, np.ndarray]:
+    """Dense normal-equations solve used as the projection ground truth.
+
+    Requires distinct standard-basis columns (the only matrices the fast
+    path ever models); solves A^T A x = A^T b and returns the solution and
+    the projection A x.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2:
+        raise NonOrthonormalColumns("matrix must be two-dimensional")
+    m, n = a.shape
+    if b.shape != (m,):
+        raise DimensionMismatch(f"b has shape {b.shape}, expected ({m},)")
+    col_is_basis = (np.abs(a.sum(axis=0) - 1.0) < 1e-12) & np.all((a == 0) | (a == 1), axis=0)
+    if n and (not col_is_basis.all() or len({int(a[:, k].argmax()) for k in range(n)}) != n):
+        raise NonOrthonormalColumns("columns must be distinct standard basis vectors")
+    if n == 0:
+        return {"x_hat": np.zeros(0), "projection": np.zeros(m)}
+    x_hat = np.linalg.solve(a.T @ a, a.T @ b)
+    return {"x_hat": x_hat, "projection": a @ x_hat}

@@ -85,7 +85,6 @@ class AffectedSets:
     """
 
     s_affected: tuple[int, ...]
-    id_to_prefix: dict[int, Prefix]
     classes: tuple[Prefix, ...]
     class_ranges: tuple[tuple[int, int], ...]
     width: int
@@ -474,10 +473,8 @@ class HeaderTrie:
         self.last_affected_visits = visits
 
         classes = tuple(n.prefix() for n in leaves)
-        ids = tuple(n.leaf_id for n in leaves)
         return AffectedSets(
-            s_affected=ids,
-            id_to_prefix=dict(zip(ids, classes)),
+            s_affected=tuple(n.leaf_id for n in leaves),
             classes=classes,
             class_ranges=tuple(p.range(width) for p in classes),
             width=width,

@@ -16,7 +16,7 @@ import threading
 from dataclasses import dataclass, field
 
 from .dataset import NetworkSpec, UpdateEvent
-from .errors import (AlignmentDiverged, DimensionMismatch, InconsistentTable,
+from .errors import (AlignmentDiverged, DimensionMismatch, InfeasibleParameters,
                      NotFound, PbrProtected, UnknownLink, UnknownRouter)
 from .prefixes import ROOT, Prefix
 from .trie import AffectedSets, HeaderTrie, UpdateOutcome
@@ -323,19 +323,6 @@ class VerificationSession:
         return frozenset(classes[j] for j in _set_bits(bits))
 
 
-def build_session(affected: AffectedSets, topology: Topology,
-                  tables: dict[str, dict[Prefix, int]] | None = None) -> VerificationSession:
-    """A session over `affected`; routers are resolved as queries reach them.
-
-    `tables`, when given, is validated against the topology.
-    """
-    if tables is not None:
-        for r in tables:
-            if r not in topology.nodes:
-                raise InconsistentTable(f"rules reference unknown router {r!r}")
-    return VerificationSession(affected, topology)
-
-
 # ----------------------------------------------------------------------
 # traversals
 
@@ -362,7 +349,12 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
     Paths are simple (no router revisited); when rewrites are active the
     pruning key is the (router, vector) pair instead, since a rewrite can
     legitimately route changed traffic back through an earlier router.
+    ``max_paths`` must be at least 1 and ``max_hops`` at least 0.
     """
+    if max_paths is not None and max_paths < 1:
+        raise InfeasibleParameters(f"max_paths must be >= 1, got {max_paths}")
+    if max_hops is not None and max_hops < 0:
+        raise InfeasibleParameters(f"max_hops must be >= 0, got {max_hops}")
     start = _start_bits(session, (src, dst), b_init)
     m = session.m
     if src == dst:
@@ -497,7 +489,10 @@ def check_policy(report: ReachabilityReport, max_path_len: int | None = None,
 
     PBR protection is not checked here: protected prefixes reject non-PBR
     updates at insertion time (see NetworkState.apply_update).
+    ``max_path_len`` must be at least 0.
     """
+    if max_path_len is not None and max_path_len < 0:
+        raise InfeasibleParameters(f"max_path_len must be >= 0, got {max_path_len}")
     violations: list[PolicyViolation] = []
     for res in report.per_path:
         if max_path_len is not None and len(res.path) > max_path_len:
@@ -691,7 +686,7 @@ class NetworkState:
                 affected: AffectedSets | None = None) -> VerificationSession:
         if affected is None:
             affected = self.trie.compute_affected(update_prefix or ROOT, clamp=True)
-        return build_session(affected, self.topology)
+        return VerificationSession(affected, self.topology)
 
 
 # ----------------------------------------------------------------------
@@ -708,12 +703,9 @@ def merge_affected(sets: list[AffectedSets]) -> AffectedSets:
                 by_id[cid] = (a.class_ranges[i][0], cid, a.classes[i],
                               a.class_ranges[i], a.chains[i])
     entries = sorted(by_id.values())
-    ids = tuple(e[1] for e in entries)
-    classes = tuple(e[2] for e in entries)
     return AffectedSets(
-        s_affected=ids,
-        id_to_prefix=dict(zip(ids, classes)),
-        classes=classes,
+        s_affected=tuple(e[1] for e in entries),
+        classes=tuple(e[2] for e in entries),
         class_ranges=tuple(e[3] for e in entries),
         width=sets[0].width,
         chains=tuple(e[4] for e in entries),

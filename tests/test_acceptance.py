@@ -13,13 +13,12 @@ import pytest
 
 from netvec.dataset import (UpdateEvent, generate_synthetic, parse_network,
                             run_update_stream)
-from netvec.oracle import (blackhole_events, interval_partition, looped_headers,
-                           simulate_all)
+from netvec.oracle import (basis_matrix, blackhole_events, interval_partition,
+                           least_squares_reference, looped_headers, simulate_all)
 from netvec.prefixes import Prefix
 from netvec.rectify import path_quality, rectify
 from netvec.trie import HeaderTrie
-from netvec.vectors import (ForwardingVector, StateVector, basis_matrix,
-                            least_squares_reference, project)
+from netvec.vectors import ForwardingVector, StateVector
 from netvec.verify import (NetworkState, batch_update, merge_affected,
                            verify_reachability)
 
@@ -50,9 +49,10 @@ def test_c01_golden_toy_network():
     session = state.session(affected=affected)
     order = ["001/3", "000/3", "01/2"]     # the worked example's coordinates
     b_init = session.all_ones()
-    b_y = project(session.fwd_vectors[("Y", 0)], b_init)
+    m = session.m
+    b_y = StateVector(session.fwd_vectors[("Y", 0)].bits & b_init.bits, m)
     assert order_bits(b_y, session, order) == [1, 1, 0]
-    b_u = project(session.fwd_vectors[("U", 0)], b_y)
+    b_u = StateVector(session.fwd_vectors[("U", 0)].bits & b_y.bits, m)
     assert order_bits(b_u, session, order) == [0, 1, 0]
 
     report = verify_reachability(session, "Y", "R")
@@ -171,7 +171,7 @@ def test_c06_projection_equals_normal_equations():
         b = StateVector(rng.getrandbits(m), m)
         dense = least_squares_reference(basis_matrix(v),
                                         np.array(b.to_bits(), float))
-        got = project(v, b).to_bits()
+        got = StateVector(v.bits & b.bits, m).to_bits()   # the traversals' AND
         assert got == [int(x) for x in np.rint(dense["projection"])], trial
     note(6, "10000 random projections match the dense solver bitwise")
 

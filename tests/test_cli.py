@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netvec.cli import main
 
@@ -159,3 +163,140 @@ def test_parse_error_exit_code(tmp_path, capsys):
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "load", "/does/not/exist.net")
     assert code == 2
+
+
+def test_load_directory_exit_code(tmp_path, capsys):
+    code, _, err = run(capsys, "load", str(tmp_path))
+    assert code == 2 and err.startswith("input error: ")
+
+
+def test_load_binary_file_exit_code(tmp_path, capsys):
+    f = tmp_path / "blob.bin"
+    f.write_bytes(bytes(range(128, 256)))
+    code, _, err = run(capsys, "load", str(f))
+    assert code == 2 and err.startswith("input error: ")
+
+
+def test_bench_stream_directory_exit_code(toy_file, tmp_path, capsys):
+    code, _, err = run(capsys, "bench", toy_file, "--stream", str(tmp_path))
+    assert code == 2 and err.startswith("input error: ")
+
+
+def test_bench_bad_mode(toy_file, tmp_path, capsys):
+    stream = tmp_path / "updates.txt"
+    stream.write_text("+ Q 00/2 0\n", encoding="utf-8")
+    for mode in ("bogus", "batchx", "per-update:3"):
+        code, _, err = run(capsys, "bench", toy_file, "--stream", str(stream),
+                           "--mode", mode)
+        assert code == 2 and err.startswith("input error: "), mode
+
+
+def test_verify_bad_limits_exit_code(toy_file, capsys):
+    for flag, value in (("--max-paths", "0"), ("--max-paths", "-1"),
+                        ("--max-hops", "-2")):
+        code, out, err = run(capsys, "verify", toy_file, "--src", "Y",
+                             "--dst", "R", flag, value)
+        assert code == 2 and "InfeasibleParameters" in err and out == "", flag
+
+
+def test_policy_bad_max_len_exit_code(toy_file, capsys):
+    code, out, err = run(capsys, "policy", toy_file, "--src", "Y", "--dst", "R",
+                         "--max-len", "-3")
+    assert code == 2 and "InfeasibleParameters" in err and out == ""
+
+
+# ----------------------------------------------------------------------
+# exit codes over generated command lines
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Placeholder -> path for the inputs the generated argv may name."""
+    d = tmp_path_factory.mktemp("cli")
+    (d / "toy.net").write_text(TOY_UPDATED, encoding="utf-8")
+    (d / "rect.net").write_text(RECT_NETWORK, encoding="utf-8")
+    (d / "bad.net").write_text("NODE A\n", encoding="utf-8")
+    (d / "blob.bin").write_bytes(bytes(range(128, 256)))
+    (d / "updates.txt").write_text("+ Q 00/2 0\n- Q 00/2 0\n", encoding="utf-8")
+    return {"{toy}": str(d / "toy.net"), "{rect}": str(d / "rect.net"),
+            "{bad}": str(d / "bad.net"), "{bin}": str(d / "blob.bin"),
+            "{stream}": str(d / "updates.txt"), "{dir}": str(d),
+            "{missing}": str(d / "missing.net"), "{out}": str(d / "gen.net")}
+
+
+FILES = st.sampled_from(["{toy}", "{rect}", "{bad}", "{bin}", "{stream}",
+                         "{dir}", "{missing}"])
+ROUTERS = st.sampled_from(["Y", "U", "Q", "R", "ghost"])
+INTS = st.integers(-3, 4).map(str)
+PREFIXES = st.sampled_from(["0/1", "01/2", "000/3", "1/1", "/0", "2/1",
+                            "0101/4", "x"])
+LINKS = st.sampled_from(["U:0-R:0", "Y:0-U:1", "nope", "U:x-R:0",
+                         "ghost:0-R:0", "U:9-R:9", "U:0-R:0-Q:0"])
+MODES = st.sampled_from(["per-update", "batch", "batch:1", "batch:0",
+                         "batch:abc", "batchx", "per-update:3", "bogus"])
+MASKS = st.sampled_from(["2:1", "2:1,3:2", "8:x", "", "40:1", "-1:1", ":"])
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _cmd(name, *parts):
+    return st.tuples(*parts).map(lambda ps: [name] + [a for p in ps for a in p])
+
+
+NET = FILES.map(lambda f: [f])
+COMMON = st.lists(st.sampled_from(["--json", "--assert"]), unique=True)
+SRC = ROUTERS.map(lambda r: ["--src", r])
+DST = ROUTERS.map(lambda r: ["--dst", r])
+SOUP = st.lists(st.one_of(
+    st.sampled_from(["load", "verify", "loops", "blackholes", "policy",
+                     "whatif", "rectify", "bench", "gen", "--src", "--dst",
+                     "--json", "--assert", "--max-paths", "--max-hops",
+                     "--prefixes", "--max-len", "--waypoint", "--link",
+                     "--intent", "--stream", "--mode", "--nodes", "--edges"]),
+    FILES, ROUTERS, INTS, PREFIXES), max_size=8)
+
+ARGV = st.one_of(
+    _cmd("load", NET, COMMON),
+    _cmd("verify", NET, COMMON, SRC, DST, _opt("--max-paths", INTS),
+         _opt("--max-hops", INTS),
+         st.lists(PREFIXES, max_size=2).map(lambda ps: ["--prefixes", *ps] if ps else [])),
+    _cmd("loops", NET, COMMON, SRC),
+    _cmd("blackholes", NET, COMMON, SRC),
+    _cmd("policy", NET, COMMON, SRC, DST, _opt("--max-len", INTS),
+         _opt("--waypoint", ROUTERS)),
+    _cmd("whatif", NET, COMMON, LINKS.map(lambda x: ["--link", x]), SRC, DST),
+    _cmd("rectify", NET, COMMON, SRC, DST,
+         st.lists(PREFIXES, min_size=1, max_size=2).map(lambda ps: ["--intent", *ps])),
+    _cmd("bench", NET, COMMON, FILES.map(lambda f: ["--stream", f]),
+         _opt("--mode", MODES)),
+    _cmd("gen", st.integers(-1, 8).map(lambda n: ["--nodes", str(n)]),
+         st.integers(-1, 12).map(lambda n: ["--edges", str(n)]),
+         _opt("--rules-per-node", INTS),
+         _opt("--width", st.sampled_from(["-1", "0", "1", "2", "3", "8"])),
+         _opt("--mask-dist", MASKS), _opt("--out", st.just("{out}")),
+         COMMON.map(lambda c: [f for f in c if f == "--json"])),
+    SOUP,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=ARGV)
+@example(argv=["load", "{dir}"])
+@example(argv=["load", "{bin}"])
+@example(argv=["bench", "{toy}", "--stream", "{dir}"])
+@example(argv=["bench", "{toy}", "--stream", "{bin}"])
+@example(argv=["verify", "{toy}", "--src", "Y", "--dst", "R", "--max-paths", "0"])
+@example(argv=["policy", "{toy}", "--src", "Y", "--dst", "R", "--max-len", "-3"])
+def test_exit_codes_over_generated_argv(cli_files, argv):
+    argv = [cli_files.get(a, a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:           # argparse usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        assert "--assert" in argv, argv

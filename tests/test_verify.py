@@ -6,15 +6,15 @@ import threading
 import pytest
 
 from netvec.dataset import UpdateEvent, generate_synthetic, parse_network
-from netvec.errors import (InconsistentTable, NotFound, PbrProtected,
+from netvec.errors import (InfeasibleParameters, NotFound, PbrProtected,
                            UnknownLink, UnknownRouter)
 from netvec.oracle import blackhole_events, looped_headers, simulate_all
-from netvec.prefixes import ROOT, Prefix
+from netvec.prefixes import Prefix
 from netvec.trie import HeaderTrie
 from netvec.vectors import StateVector
-from netvec.verify import (NetworkState, Topology, batch_update, build_session,
-                           check_policy, detect_blackhole, detect_loop,
-                           verify_reachability, whatif_link_down)
+from netvec.verify import (NetworkState, Topology, batch_update, check_policy,
+                           detect_blackhole, detect_loop, verify_reachability,
+                           whatif_link_down)
 
 from conftest import (TOY_NETWORK, headers_of, naive_lpm, pfx,
                       random_small_network)
@@ -51,14 +51,10 @@ def test_session_vectors_match_worked_example():
 
 
 def test_union_over_affected_ports_worked_example():
-    from netvec.vectors import union_forwarding
-
     state = toy_state()
     session = state.session(update_prefix=pfx("0/1"))
-    u_vectors = [v for (r, _), v in session.fwd_vectors.items() if r == "U"]
-    union = union_forwarding(u_vectors)
-    assert order_bits(union, session, PAPER_ORDER) == [0, 1, 1]
-    assert union.owner == ("U", None)
+    union = session.resolve("U", session.all_ones().bits).union
+    assert order_bits(StateVector(union, session.m), session, PAPER_ORDER) == [0, 1, 1]
 
 
 def test_session_router_without_affected_rules_absent():
@@ -78,15 +74,6 @@ def test_session_vectors_match_per_class_lpm():
             for (router, port), vec in session.fwd_vectors.items():
                 expect = naive_lpm(state.tables, spec.width, router, lo) == port
                 assert bool(vec.bits >> j & 1) == expect, (seed, router, port, cls)
-
-
-def test_build_session_rejects_unknown_router():
-    state = toy_state()
-    aff = state.affected_for(ROOT)
-    tables = dict(state.tables)
-    tables["ghost"] = {}
-    with pytest.raises(InconsistentTable):
-        build_session(aff, state.topology, tables=tables)
 
 
 # ----------------------------------------------------------------------
@@ -157,17 +144,15 @@ def test_reachability_matches_oracle_small_suite():
 
 
 def test_report_consistency_invariant():
-    from netvec.vectors import accumulate_reachable, decode_reachable
-
     for seed in range(4):
         spec = random_small_network(seed, gap_fraction=0.2)
         state = NetworkState.from_spec(spec)
         session = state.session()
         report = verify_reachability(session, spec.routers[0], spec.routers[-1])
-        acc = session.all_ones().__class__.zeros(session.m)
+        acc = 0
         for res in report.per_path:
-            acc = accumulate_reachable(acc, res.b_final)
-        assert decode_reachable(acc, session.classes) == set(report.reachable)
+            acc |= res.b_final.bits
+        assert session.decode(acc) == set(report.reachable)
         assert report.total_paths == len(report.per_path)
 
 
@@ -176,6 +161,22 @@ def test_truncation_flag():
     session = state.session()
     report = verify_reachability(session, "Y", "R", max_hops=0)
     assert report.truncated and not report.reachable
+
+
+def test_reachability_rejects_max_paths_below_one():
+    session = toy_state().session()
+    for bad in (0, -1):
+        with pytest.raises(InfeasibleParameters):
+            verify_reachability(session, "Y", "R", max_paths=bad)
+    report = verify_reachability(session, "Y", "R", max_paths=1)
+    assert len(report.per_path) == 1
+
+
+def test_reachability_rejects_negative_max_hops():
+    session = toy_state().session()
+    for bad in (-1, -2):
+        with pytest.raises(InfeasibleParameters):
+            verify_reachability(session, "Y", "R", max_hops=bad)
 
 
 def test_session_locality_instrumentation():
@@ -401,6 +402,15 @@ def test_policy_path_length_ok():
     state = toy_state()
     report = verify_reachability(state.session(), "Y", "R")
     assert check_policy(report, max_path_len=3).violations == ()
+
+
+def test_policy_rejects_negative_max_len():
+    report = verify_reachability(toy_state().session(), "Y", "R")
+    for bad in (-1, -3):
+        with pytest.raises(InfeasibleParameters):
+            check_policy(report, max_path_len=bad)
+    (violation,) = check_policy(report, max_path_len=0).violations
+    assert violation.constraint == "path length 3 exceeds 0"
 
 
 def test_policy_waypoint_violation():
