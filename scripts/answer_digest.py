@@ -3,6 +3,7 @@
 
     PYTHONPATH=src python3 scripts/answer_digest.py --shape network --seed 7 --count 2000
     PYTHONPATH=src python3 scripts/answer_digest.py --shape repair --seed 41 --count 60
+    PYTHONPATH=src python3 scripts/answer_digest.py --shape whatif --seed 7 --count 120
 
 Run it with the `src/` of two checkouts on PYTHONPATH and compare the
 printed digests: equal digests mean bit-identical answers. Only the public
@@ -22,6 +23,14 @@ router. A cycle is one `batch_update` over churn on withheld rules plus the
 deletion of one intent's rule at its source; when the intent is lost,
 `rectify` runs. The digest covers each cycle's reachable classes (or the
 error name) and rectify's fixes and achieved classes (or the error name).
+
+whatif: `--count` calls of `whatif_link_down` on one network with ACL
+entries and rewrites, each between a seeded router pair, taking the links
+in order and starting over after the last one (a count of at least the
+link count fails every link; a larger one fails links again after earlier
+what-ifs, which must have left the state as it was). The digest covers
+each call's triggered deletions, reachable classes, paths explored and
+every `per_path` entry in order.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from netvec.errors import NetvecError
 from netvec.prefixes import Prefix
 from netvec.rectify import rectify
 from netvec.verify import (NetworkState, batch_update, detect_blackhole,
-                           detect_loop, verify_reachability)
+                           detect_loop, verify_reachability, whatif_link_down)
 
 MASKS = {8: 1, 10: 2, 12: 4, 14: 6, 16: 8}
 QUERY_MIX = ("reach", "loop", "reach", "blackhole")
@@ -79,6 +88,15 @@ def classes(prefixes) -> str:
     return " ".join(sorted(str(p) for p in prefixes))
 
 
+def path_lines(rep) -> list[str]:
+    """One line per `per_path` entry: routers, final vector, per-hop errors."""
+    lines = []
+    for res in rep.per_path:
+        errs = " ".join(f"{r}:{e!r}" for r, e in res.per_hop_errors)
+        lines.append(f"  {'/'.join(res.path)} {res.b_final.bits:x} {errs}")
+    return lines
+
+
 def network_digest(seed: int, count: int) -> str:
     rng = random.Random(f"{seed}:policy")
     spec = build(seed, 60, 240, 400, 30, 12, None, rng)
@@ -95,9 +113,7 @@ def network_digest(seed: int, count: int) -> str:
             rep = verify_reachability(session, src, dst)
             lines = [f"reach {src} {dst} {rep.paths_explored} {rep.truncated} "
                      f"{len(session.touched)} {classes(rep.reachable)}"]
-            for res in rep.per_path:
-                errs = " ".join(f"{r}:{e!r}" for r, e in res.per_hop_errors)
-                lines.append(f"  {'/'.join(res.path)} {res.b_final.bits:x} {errs}")
+            lines += path_lines(rep)
         elif kind == "loop":
             rep = detect_loop(session, src)
             lines = [f"loop {src} {rep.cycle} {classes(rep.headers)}"]
@@ -105,6 +121,25 @@ def network_digest(seed: int, count: int) -> str:
             reps = detect_blackhole(session, src)
             lines = [f"blackhole {src} {len(session.touched)}"]
             lines += [f"  {r.router} {classes(r.headers)}" for r in reps]
+        h.update("\n".join(lines).encode() + b"\n")
+    return h.hexdigest()
+
+
+def whatif_digest(seed: int, count: int) -> str:
+    rng = random.Random(f"{seed}:policy")
+    spec = build(seed, 24, 60, 120, 12, 6, None, rng)
+    withhold(spec, rng, spec.rule_count // 50)
+    state = NetworkState.from_spec(spec)
+    pairs = random.Random(f"{seed}:queries")
+    h = hashlib.sha256()
+    for i in range(count):
+        link = spec.edges[i % len(spec.edges)]
+        src, dst = pairs.sample(spec.routers, 2)
+        result = whatif_link_down(state, link, src, dst)
+        rep = result.report
+        lines = [f"whatif {link} {src} {dst} {result.triggered_deletions} "
+                 f"{rep.paths_explored} {classes(rep.reachable)}"]
+        lines += path_lines(rep)
         h.update("\n".join(lines).encode() + b"\n")
     return h.hexdigest()
 
@@ -190,14 +225,17 @@ def repair_digest(seed: int, count: int) -> str:
     return h.hexdigest()
 
 
+DIGESTS = {"network": network_digest, "repair": repair_digest,
+           "whatif": whatif_digest}
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--shape", choices=["network", "repair"], required=True)
+    ap.add_argument("--shape", choices=sorted(DIGESTS), required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--count", type=int, required=True)
     args = ap.parse_args(argv)
-    digest = network_digest if args.shape == "network" else repair_digest
-    print(digest(args.seed, args.count))
+    print(DIGESTS[args.shape](args.seed, args.count))
 
 
 if __name__ == "__main__":

@@ -158,8 +158,7 @@ def cmd_whatif(args) -> int:
         rb, pb = b.rsplit(":", 1)
         link = (ra, int(pa), rb, int(pb))
     except ValueError:
-        print(f"bad --link {args.link!r}; expected A:pa-B:pb", file=sys.stderr)
-        return 2
+        raise ParseError(f"bad --link {args.link!r}; expected A:pa-B:pb") from None
     result = whatif_link_down(state, link, args.src, args.dst)
     payload = {"triggered_deletions": result.triggered_deletions,
                "report": _report_payload(result.report, spec.width)}

@@ -56,19 +56,16 @@ def _adjacency(topology) -> dict[str, list[tuple[int, str]]]:
     return adj
 
 
-def _simple_paths(topology, src: str, dst: str, max_len: int | None,
+def _simple_paths(topology, src: str, dst: str,
                   max_paths: int) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
     """Simple topology paths src -> dst as (routers, outgoing ports)."""
     adj = _adjacency(topology)
-    limit = max_len if max_len is not None else len(topology.nodes)
     found: list[tuple[tuple[str, ...], tuple[int, ...]]] = []
     stack = [(src, (src,), ())]
     while stack and len(found) < max_paths:
         r, path, ports = stack.pop()
         if r == dst:
             found.append((path, ports))
-            continue
-        if len(path) > limit:
             continue
         for port, peer in reversed(adj.get(r, ())):
             if peer in path:
@@ -78,7 +75,7 @@ def _simple_paths(topology, src: str, dst: str, max_len: int | None,
 
 
 def path_quality(session: VerificationSession, src: str, dst: str, *,
-                 b_init: StateVector | None = None, max_len: int | None = None,
+                 b_init: StateVector | None = None,
                  max_paths: int = 20000) -> list[PathQuality]:
     """All simple topology paths src -> dst scored by cumulative projection
     error, ascending (ties broken by the path itself)."""
@@ -89,7 +86,7 @@ def path_quality(session: VerificationSession, src: str, dst: str, *,
         b_init = StateVector.ones(session.m)
     if src == dst:
         return [PathQuality((src,), 0.0, (), ())]
-    candidates = _simple_paths(session.topology, src, dst, max_len, max_paths)
+    candidates = _simple_paths(session.topology, src, dst, max_paths)
     if not candidates:
         raise NoPath(f"{dst} is not connected to {src}")
     enter = session.enter
@@ -141,8 +138,7 @@ def cover_classes(affected: AffectedSets, bits: int) -> list[Prefix]:
     return prefixes
 
 
-def rectify(state: NetworkState, src: str, dst: str, intent: set[Prefix], *,
-            allow_deletions: bool = False, max_paths: int = 20000
+def rectify(state: NetworkState, src: str, dst: str, intent: set[Prefix]
             ) -> RectifyResult:
     """Establish reachability for the intent classes by adding rules.
 
@@ -167,12 +163,10 @@ def rectify(state: NetworkState, src: str, dst: str, intent: set[Prefix], *,
 
     # rank candidate paths by how badly they drop the intent classes
     candidates = path_quality(session, src, dst,
-                              b_init=StateVector(intent_bits, session.m),
-                              max_paths=max_paths)
+                              b_init=StateVector(intent_bits, session.m))
     remaining = intent_bits & ~already
     fixes: list[RuleFix] = []
     overlay: dict[tuple[str, int], int] = {}
-    committed_paths: list[tuple[str, ...]] = []
 
     for quality in candidates:
         if not remaining:
@@ -207,34 +201,14 @@ def rectify(state: NetworkState, src: str, dst: str, intent: set[Prefix], *,
             remaining &= ~delivered
             fixes.extend(trial_fixes)
             overlay = trial_overlay
-            committed_paths.append(routers)
 
     if not fixes and already == 0:
         raise RectificationImpossible(
             "every candidate header overlaps traffic already forwarded")
 
     report = apply_fixes(state, fixes, src, dst) if fixes else base
-    if allow_deletions and committed_paths:
-        _prune_other_paths(state, intent_classes, committed_paths)
-        report = verify_reachability(state.session(), src, dst)
     achieved = frozenset(intent_classes & report.reachable)
     return RectifyResult(tuple(fixes), achieved, report)
-
-
-def _prune_other_paths(state: NetworkState, intent_classes, committed_paths):
-    """Optional cleanup: delete exact-class rules for the intent at routers
-    off every committed path. Disabled by default because deletions can
-    disturb pairs the non-interference check never saw."""
-    keep = {r for path in committed_paths for r in path}
-    doomed = []
-    for router, table in state.tables.items():
-        if router in keep:
-            continue
-        for pfx, port in table.items():
-            if pfx in intent_classes:
-                doomed.append(UpdateEvent("delete", router, pfx, port, 0))
-    for ev in doomed:
-        state.apply_update(ev)
 
 
 def apply_fixes(state: NetworkState, fixes: list[RuleFix], src: str, dst: str,

@@ -12,7 +12,6 @@ each with the rule-bearing nodes its longest-prefix winners come from.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
@@ -30,7 +29,7 @@ class Label(IntEnum):
 
 class TrieNode:
     __slots__ = ("zero", "one", "owners", "acl", "xform", "marker",
-                 "label", "leaf_id", "value", "depth", "listed")
+                 "label", "value", "depth")
 
     def __init__(self, value: int, depth: int):
         self.zero: TrieNode | None = None
@@ -42,10 +41,8 @@ class TrieNode:
         self.xform: dict[str, Prefix] = {}      # router -> rewrite target
         self.marker = False
         self.label = Label.NONE
-        self.leaf_id: int | None = None
         self.value = value                      # path bits as an integer
         self.depth = depth
-        self.listed = False                     # present in the trie's leaf list
 
     @property
     def is_leaf(self) -> bool:
@@ -75,8 +72,8 @@ ChainEntry = tuple[dict[str, int], dict[str, bool], dict[str, Prefix], int]
 class AffectedSets:
     """Classes whose behavior a rule update may change.
 
-    Coordinate j of every session vector corresponds to ``s_affected[j]``;
-    classes are ordered by range start (in-order leaf position).
+    Coordinate j of every session vector is class ``classes[j]``; classes
+    are ordered by range start (in-order leaf position).
     ``chains[j]`` lists the rule-bearing nodes on class j's root path,
     root first; classes under the same nodes share one tuple. A router's
     longest-prefix winner for class j is its entry in the deepest chain
@@ -84,7 +81,6 @@ class AffectedSets:
     demand from these snapshots.
     """
 
-    s_affected: tuple[int, ...]
     classes: tuple[Prefix, ...]
     class_ranges: tuple[tuple[int, int], ...]
     width: int
@@ -93,7 +89,7 @@ class AffectedSets:
 
     @property
     def m(self) -> int:
-        return len(self.s_affected)
+        return len(self.classes)
 
     @cached_property
     def p_affected(self) -> frozenset[tuple[str, int]]:
@@ -119,60 +115,47 @@ class HeaderTrie:
             raise ValueError("header width must be >= 1")
         self.width = width
         self.root = TrieNode(0, 0)
-        self._leaf_keys: list[int] = []          # range starts, sorted
-        self._leaf_nodes: list[TrieNode] = []
-        self._ids_dirty = False
         self.last_affected_visits = 0
 
     # ------------------------------------------------------------------
-    # leaf bookkeeping
+    # leaves
 
-    def _leaf_key(self, node: TrieNode) -> int:
-        return node.value << (self.width - node.depth)
-
-    def _leaf_add(self, node: TrieNode) -> None:
-        key = self._leaf_key(node)
-        i = bisect.bisect_left(self._leaf_keys, key)
-        self._leaf_keys.insert(i, key)
-        self._leaf_nodes.insert(i, node)
-        node.listed = True
-        self._ids_dirty = True
-
-    def _leaf_remove(self, node: TrieNode) -> None:
-        key = self._leaf_key(node)
-        i = bisect.bisect_left(self._leaf_keys, key)
-        while self._leaf_nodes[i] is not node:    # leaf range starts are unique
-            i += 1
-        del self._leaf_keys[i]
-        del self._leaf_nodes[i]
-        node.listed = False
-        self._ids_dirty = True
-
-    def _renumber_if_dirty(self) -> None:
-        if self._ids_dirty:
-            for i, node in enumerate(self._leaf_nodes):
-                node.leaf_id = i
-            self._ids_dirty = False
+    def _leaves(self):
+        """The labelled leaves, in range-start order (an empty trie has none)."""
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            zero, one = node.zero, node.one
+            if zero is None and one is None:
+                if node.label != Label.NONE:
+                    yield node
+                continue
+            if one is not None:
+                stack.append(one)
+            if zero is not None:
+                stack.append(zero)
 
     def leaf_entries(self) -> list[tuple[Prefix, Label, int]]:
-        """All classes in coordinate (range-start) order."""
-        self._renumber_if_dirty()
-        return [(n.prefix(), Label(n.label), n.leaf_id) for n in self._leaf_nodes]
+        """All classes as (prefix, label, coordinate), in range-start order."""
+        return [(n.prefix(), Label(n.label), i) for i, n in enumerate(self._leaves())]
 
     @property
     def num_leaves(self) -> int:
-        return len(self._leaf_nodes)
+        return sum(1 for _ in self._leaves())
 
     @property
     def iatomic_count(self) -> int:
-        return sum(1 for n in self._leaf_nodes if n.label == Label.IATOMIC)
+        return sum(1 for n in self._leaves() if n.label == Label.IATOMIC)
 
     # ------------------------------------------------------------------
     # structural helpers
 
     def _relabel(self, node: TrieNode) -> None:
         if node.is_leaf:
-            node.label = Label.ATOMIC if node.is_rule else Label.IATOMIC
+            if node.is_rule:
+                node.label = Label.ATOMIC
+            else:                               # an empty root is no class
+                node.label = Label.IATOMIC if node.depth else Label.NONE
         else:
             node.label = Label.SUPERNET if node.is_rule else Label.NONE
 
@@ -211,7 +194,6 @@ class HeaderTrie:
             if cov and (zero is None) != (one is None):
                 sib = self._new_child(node, 0 if zero is None else 1)
                 sib.label = Label.IATOMIC
-                self._leaf_add(sib)
                 created += 1
             for child in (node.zero, node.one):
                 if child is not None and not child.is_leaf:
@@ -242,8 +224,6 @@ class HeaderTrie:
             if nxt is None:
                 if branch is None:
                     branch = node
-                    if node.listed:
-                        self._leaf_remove(node)   # leaf becomes interior
                 nxt = self._new_child(node, bit)
                 created += 1
             node = nxt
@@ -252,7 +232,6 @@ class HeaderTrie:
         mark(node)
         if created:
             node.label = Label.ATOMIC
-            self._leaf_add(node)
             self._relabel(branch)
         self._relabel(node)
         new_leaf = created > 0
@@ -331,12 +310,9 @@ class HeaderTrie:
         elif not node.is_leaf:
             created = self._rederive(node, covered=False)
             self._prune_upward(path)
-        else:
-            if node.listed:
-                self._leaf_remove(node)
-            if len(path) > 1:
-                self._unlink(path[-2], node)
-                self._prune_upward(path[:-1])
+        elif len(path) > 1:
+            self._unlink(path[-2], node)
+            self._prune_upward(path[:-1])
         return UpdateOutcome(created_nodes=created, new_leaf=False)
 
     def _prune_upward(self, path: list[TrieNode]) -> None:
@@ -345,18 +321,12 @@ class HeaderTrie:
             node = path[i]
             if node.is_rule or not node.is_leaf:
                 break
-            if node.listed:
-                self._leaf_remove(node)
             self._unlink(path[i - 1], node)
 
     def _rederive(self, top: TrieNode, covered: bool) -> int:
         """Re-derive labels and iatomic leaves for the subtree under `top`."""
         self._prune_subtree(top)
         self._relabel(top)
-        if top.is_leaf:
-            if top.is_rule and not top.listed:
-                self._leaf_add(top)
-            return 0
         return self._complete(top, covered)
 
     def _prune_subtree(self, top: TrieNode) -> None:
@@ -365,16 +335,12 @@ class HeaderTrie:
             for attr in ("zero", "one"):
                 child = getattr(node, attr)
                 if child is not None and prune(child):
-                    if child.listed:
-                        self._leaf_remove(child)
                     setattr(node, attr, None)
             if node is top:
                 return False
             if node.is_leaf:
                 if node.is_rule:
                     self._relabel(node)
-                    if not node.listed:
-                        self._leaf_add(node)
                     return False
                 return True
             self._relabel(node)
@@ -404,7 +370,6 @@ class HeaderTrie:
         ``clamp=True`` a missing node clamps to the deepest existing
         ancestor (used after deletions); otherwise it is an error.
         """
-        self._renumber_if_dirty()
         width = self.width
         leaves: list[TrieNode] = []
         chains: list[tuple[ChainEntry, ...]] = []
@@ -474,7 +439,6 @@ class HeaderTrie:
 
         classes = tuple(n.prefix() for n in leaves)
         return AffectedSets(
-            s_affected=tuple(n.leaf_id for n in leaves),
             classes=classes,
             class_ranges=tuple(p.range(width) for p in classes),
             width=width,

@@ -44,22 +44,6 @@ class Topology:
                 return edge
         raise UnknownLink(f"no link {a}:{pa}-{b}:{pb}")
 
-    def remove_edge(self, edge: tuple[str, int, str, int]) -> int:
-        """Drop `edge`; returns its index in `edges` for `restore_edge`."""
-        a, pa, b, pb = edge
-        index = self.edges.index(edge)
-        del self.edges[index]
-        del self.port_link[(a, pa)]
-        del self.port_link[(b, pb)]
-        return index
-
-    def restore_edge(self, edge: tuple[str, int, str, int], index: int) -> None:
-        """Undo `remove_edge`."""
-        a, pa, b, pb = edge
-        self.edges.insert(index, edge)
-        self.port_link[(a, pa)] = (b, pb)
-        self.port_link[(b, pb)] = (a, pa)
-
 
 # ----------------------------------------------------------------------
 # reports
@@ -166,10 +150,9 @@ class VerificationSession:
     there, and extended when later visits carry classes not yet resolved.
     The chains it resolves from are snapshots, so answers describe the
     network as it was when the affected set was computed, whatever updates
-    follow. Link peers are read from the topology when a router is
-    resolved, so the topology must not change while the session is
-    queried. Sessions may be queried from several threads: memo writers
-    hold a lock and publish every other field before shrinking
+    follow. Link peers are read from the topology, which netvec never
+    changes after load. Sessions may be queried from several threads: memo
+    writers hold a lock and publish every other field before shrinking
     ``pending``, and readers test ``pending`` first.
     """
 
@@ -519,16 +502,14 @@ class NetworkState:
         self.trie = trie
         self.topology = topology
         self.protected = spec.protected_prefixes()
-        self.homes: dict[Prefix, str] = {}
-        self._rebuild_homes()
 
     @property
     def tables(self) -> dict[str, dict[Prefix, int]]:
         return self.spec.rules
 
     @classmethod
-    def from_spec(cls, spec: NetworkSpec, copy: bool = True) -> "NetworkState":
-        spec = spec.copy() if copy else spec
+    def from_spec(cls, spec: NetworkSpec) -> "NetworkState":
+        spec = spec.copy()
         topology = Topology.from_spec(spec)
         trie = HeaderTrie(spec.width)
         by_prefix: dict[Prefix, dict[str, int]] = {}
@@ -553,23 +534,32 @@ class NetworkState:
         state._align_transforms()
         return state
 
-    def _rebuild_homes(self) -> None:
-        self.homes.clear()
+    @property
+    def homes(self) -> dict[Prefix, str]:
+        """Each prefix's home: the first router, in ``spec.routers`` order,
+        whose rule for it uses a host-facing (unlinked) port."""
         link = self.topology.port_link
+        homes: dict[Prefix, str] = {}
         for r in self.spec.routers:
-            for pfx, port in self.spec.rules.get(r, {}).items():
-                if (r, port) not in link and pfx not in self.homes:
-                    self.homes[pfx] = r
+            for pfx, port in self.spec.rules[r].items():
+                if (r, port) not in link:
+                    homes.setdefault(pfx, r)
+        return homes
 
     def home_of(self, prefix: Prefix) -> str | None:
-        """Router delivering `prefix` (or its closest covering prefix) locally."""
-        value, length = prefix.value, prefix.length
-        while length >= 0:
-            home = self.homes.get(Prefix(value, length))
-            if home is not None:
-                return home
-            value >>= 1
-            length -= 1
+        """Home of `prefix`, or else of its longest covering prefix that has one."""
+        node = self.trie.root
+        path = [node]
+        for i in range(prefix.length):
+            node = node.one if prefix.bit(i) else node.zero
+            if node is None:
+                break
+            path.append(node)
+        link = self.topology.port_link
+        for node in reversed(path):
+            hosts = [r for r, port in node.owners.items() if (r, port) not in link]
+            if hosts:
+                return min(hosts, key=self.spec.routers.index)
         return None
 
     def _align_transforms(self) -> None:
@@ -626,8 +616,6 @@ class NetworkState:
         if event.op == "insert":
             outcome = self.trie.insert_header(event.prefix, (event.router, event.port))
             table[event.prefix] = event.port
-            if (event.router, event.port) not in self.topology.port_link:
-                self.homes.setdefault(event.prefix, event.router)
         elif event.op == "delete":
             if table.get(event.prefix) != event.port:
                 raise NotFound(f"no rule ({event.prefix}, {event.port}) at {event.router}")
@@ -646,11 +634,11 @@ class NetworkState:
         events before it are undone and the error propagates, so the state
         is as it was before the call.
         """
-        log: list[tuple[str, Prefix, int | None, bool]] = []
+        log: list[tuple[str, Prefix, int | None]] = []
         try:
             for ev in events:
                 port = self.spec.rules.get(ev.router, {}).get(ev.prefix)
-                log.append((ev.router, ev.prefix, port, ev.prefix in self.homes))
+                log.append((ev.router, ev.prefix, port))
                 self.apply_update(ev)
         except BaseException:
             self.undo(log)
@@ -659,10 +647,9 @@ class NetworkState:
 
     def undo(self, log: list[tuple]) -> None:
         """Put back, newest first, the rule each logged event found (an
-        insert that replaced a port gets that port back) and drop the homes
-        the events added."""
+        insert that replaced a port gets that port back)."""
         rules = self.spec.rules
-        for router, prefix, port, had_home in reversed(log):
+        for router, prefix, port in reversed(log):
             table = rules.get(router)
             if table is None:
                 continue                        # the event was refused
@@ -674,8 +661,6 @@ class NetworkState:
                 else:
                     self.trie.insert_header(prefix, (router, port))
                     table[prefix] = port
-            if not had_home:
-                self.homes.pop(prefix, None)
         if log and self.spec.transforms:
             self._align_transforms()
 
@@ -696,19 +681,16 @@ def merge_affected(sets: list[AffectedSets]) -> AffectedSets:
     """Union of affected-set computations taken on one trie state."""
     if len(sets) == 1:
         return sets[0]
-    by_id: dict[int, tuple] = {}
+    by_start: dict[int, tuple] = {}          # range start -> (range, class, chain)
     for a in sets:
-        for i, cid in enumerate(a.s_affected):
-            if cid not in by_id:
-                by_id[cid] = (a.class_ranges[i][0], cid, a.classes[i],
-                              a.class_ranges[i], a.chains[i])
-    entries = sorted(by_id.values())
+        for entry in zip(a.class_ranges, a.classes, a.chains):
+            by_start.setdefault(entry[0][0], entry)
+    entries = [by_start[lo] for lo in sorted(by_start)]
     return AffectedSets(
-        s_affected=tuple(e[1] for e in entries),
-        classes=tuple(e[2] for e in entries),
-        class_ranges=tuple(e[3] for e in entries),
+        classes=tuple(e[1] for e in entries),
+        class_ranges=tuple(e[0] for e in entries),
         width=sets[0].width,
-        chains=tuple(e[4] for e in entries),
+        chains=tuple(e[2] for e in entries),
         has_transforms=any(a.has_transforms for a in sets),
     )
 
@@ -742,12 +724,11 @@ def batch_update(state: NetworkState, updates: list[UpdateEvent], src: str,
 
 def whatif_link_down(state: NetworkState, link: tuple[str, int, str, int],
                      src: str, dst: str) -> WhatIfResult:
-    """Fail a link: drop the edge, delete the rules that forwarded over it,
-    and verify reachability as one batch. The edge and the rules are put
-    back before returning, so the state is left as it was."""
-    topo, spec = state.topology, state.spec
-    edge = topo.find_edge(*link)
-    a, pa, b, pb = edge
+    """Fail a link: delete the rules that forwarded over it and verify
+    reachability as one batch. The deletions keep every class off the
+    failed ports, so the topology is left as it is; the rules are put back
+    before returning, so the state is left as it was."""
+    a, pa, b, pb = state.topology.find_edge(*link)
     deletions: list[UpdateEvent] = []
     seq = 0
     for router, port in ((a, pa), (b, pb)):
@@ -756,13 +737,6 @@ def whatif_link_down(state: NetworkState, link: tuple[str, int, str, int],
             if rule_port == port:
                 deletions.append(UpdateEvent("delete", router, pfx, port, seq))
                 seq += 1
-    spec_index = spec.edges.index(edge)
-    topo_index = topo.remove_edge(edge)
-    del spec.edges[spec_index]
-    try:
-        report, _, log = _update_and_verify(state, deletions, src, dst, None)
-        state.undo(log)
-    finally:
-        topo.restore_edge(edge, topo_index)
-        spec.edges.insert(spec_index, edge)
+    report, _, log = _update_and_verify(state, deletions, src, dst, None)
+    state.undo(log)
     return WhatIfResult(triggered_deletions=len(deletions), report=report)

@@ -62,7 +62,7 @@ def test_c01_golden_toy_network():
     assert path.b_final == b_u
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
-    note(1, f"s_affected/b_Y/b_U/reachable exact in {elapsed * 1000:.0f} ms")
+    note(1, f"classes/b_Y/b_U/reachable exact in {elapsed * 1000:.0f} ms")
 
 
 # ----------------------------------------------------------------------

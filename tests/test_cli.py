@@ -110,6 +110,16 @@ def test_whatif_bad_link_syntax(toy_file, capsys):
     code, _, err = run(capsys, "whatif", toy_file, "--link", "nope",
                        "--src", "Y", "--dst", "R")
     assert code == 2
+    assert err.startswith("input error: bad --link 'nope'")
+
+
+def test_load_default_routes_only(tmp_path, capsys):
+    f = tmp_path / "default.net"
+    f.write_text("WIDTH 3\nNODE A\nNODE B\nEDGE A 0 B 0\n"
+                 "RULE A /0 0\nRULE B /0 1\n", encoding="utf-8")
+    code, out, _ = run(capsys, "load", str(f))
+    assert code == 0
+    assert "classes: 1 (0 induced)" in out
 
 
 def test_rectify(rect_file, capsys):

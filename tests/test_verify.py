@@ -533,6 +533,23 @@ def test_whatif_inert_link(toy_spec):
     assert result.report.reachable == before
 
 
+def test_home_follows_current_rules():
+    """A prefix's home is read from the rules as they are now: deleting the
+    host-facing rule takes the home away, and another router's host-facing
+    rule gives the prefix that router as its home."""
+    state = toy_state()
+    assert state.homes == {pfx("1/1"): "R"}
+    assert state.home_of(pfx("11/2")) == "R"
+    state.apply_update(UpdateEvent("delete", "R", pfx("1/1"), 2, 1))
+    assert state.homes == {}
+    assert state.home_of(pfx("1/1")) is None and state.home_of(pfx("11/2")) is None
+    state.apply_update(UpdateEvent("insert", "Q", pfx("1/1"), 5, 2))
+    assert state.homes == {pfx("1/1"): "Q"} and state.home_of(pfx("11/2")) == "Q"
+    state.apply_update(UpdateEvent("insert", "R", pfx("1/1"), 2, 3))
+    # two host-facing rules: the router declared first (Q before R) is home
+    assert state.homes == {pfx("1/1"): "Q"} and state.home_of(pfx("1/1")) == "Q"
+
+
 def test_whatif_severing_delivery_path():
     state = toy_state()
     result = whatif_link_down(state, ("U", 0, "R", 0), "Y", "R")
