@@ -4,6 +4,7 @@
     PYTHONPATH=src python3 scripts/answer_digest.py --shape network --seed 7 --count 2000
     PYTHONPATH=src python3 scripts/answer_digest.py --shape repair --seed 41 --count 60
     PYTHONPATH=src python3 scripts/answer_digest.py --shape whatif --seed 7 --count 120
+    PYTHONPATH=src python3 scripts/answer_digest.py --shape parse --seed 7 --count 2000
 
 Run it with the `src/` of two checkouts on PYTHONPATH and compare the
 printed digests: equal digests mean bit-identical answers. Only the public
@@ -31,6 +32,14 @@ link count fails every link; a larger one fails links again after earlier
 what-ifs, which must have left the state as it was). The digest covers
 each call's triggered deletions, reachable classes, paths explored and
 every `per_path` entry in order.
+
+parse: `parse_network` on the text of a width-32 network (dotted quads) and
+of a width-16 network with ACL entries, rewrites and PBR rules, both
+sprinkled with comments and blank lines, and `parse_update_stream` on
+`--count` events in dotted quads. The digest covers routers, edges, rules,
+ACL entries and rewrites in table order, PBR entries, and every event. It
+also covers the error type, line and message of copies of the width-16
+text with malformed lines inserted at seeded places.
 """
 
 from __future__ import annotations
@@ -40,7 +49,9 @@ import hashlib
 import random
 from collections import deque
 
-from netvec.dataset import UpdateEvent, generate_synthetic
+from netvec.dataset import (UpdateEvent, generate_synthetic, parse_network,
+                            parse_update_stream, serialize_network,
+                            serialize_update_stream)
 from netvec.errors import NetvecError
 from netvec.prefixes import Prefix
 from netvec.rectify import rectify
@@ -225,8 +236,68 @@ def repair_digest(seed: int, count: int) -> str:
     return h.hexdigest()
 
 
+# Inserted one or two at a time into valid text; a RULE line copied with
+# another port is added to these.
+BAD_LINES = ("RULE r0 012/3 0", "RULE r0 0/1 -5", "RULE r0 0/1 99999999999",
+             "RULE r0 0/1 x", "RULE nope 0/1 0", "RULE r0 1/40 0", "PBR r0 0/1",
+             "ACL r1 0/1 block", "XFORM r1 0/1 -> 00/2", "WIDTH 16",
+             "EDGE r0 0 r1 0", "EDGE r0 1 r0 2", "NODE r1", "FOO r0")
+
+
+def with_comments(text: str, rng: random.Random) -> str:
+    lines = []
+    for line in text.splitlines():
+        if rng.random() < 0.05:
+            lines.append(rng.choice(("", "  ", "# note")))
+        lines.append(line + "  # note" if rng.random() < 0.1 else line)
+    return "\n".join(lines) + "\n"
+
+
+def spec_lines(spec) -> list[str]:
+    lines = [f"width {spec.width} routers {' '.join(spec.routers)}"]
+    lines += [f"edge {e}" for e in spec.edges]
+    for kind, tables in (("rule", spec.rules), ("acl", spec.acls),
+                         ("xform", spec.transforms)):
+        for r, table in tables.items():
+            lines += [f"{kind} {r} {p!r} {v!r}" for p, v in table.items()]
+    lines += [f"pbr {r} {p!r}" for r, p in sorted(spec.pbr, key=lambda e: (e[0], _key(e[1])))]
+    return lines
+
+
+def parse_digest(seed: int, count: int) -> str:
+    rng = random.Random(f"{seed}:parse")
+    wide = generate_synthetic(40, 120, 150, seed=seed, width=32)
+    policy = build(seed, 24, 60, 120, 12, 6, None, rng)
+    rules = [(r, p) for r in policy.routers for p in sorted(policy.rules[r], key=_key)]
+    policy.pbr = set(rng.sample(rules, 20))
+    h = hashlib.sha256()
+    texts = [with_comments(serialize_network(s), rng) for s in (wide, policy)]
+    for text in texts:
+        h.update("\n".join(spec_lines(parse_network(text))).encode() + b"\n")
+    wide_rules = [(r, p, port) for r in wide.routers for p, port in wide.rules[r].items()]
+    events = [UpdateEvent(rng.choice(("insert", "delete")), *rng.choice(wide_rules), seq=i)
+              for i in range(count)]
+    stream = parse_update_stream(with_comments(serialize_update_stream(events, 32), rng), 32)
+    h.update("".join(f"{e.op} {e.router} {e.prefix!r} {e.port} {e.seq}\n"
+                     for e in stream).encode())
+    lines = texts[1].splitlines()
+    r, p = rules[0]
+    conflict = f"RULE {r} {p} {policy.rules[r][p] + 1}"
+    for bad in BAD_LINES + (conflict,):
+        for copies in (1, 2):
+            broken = list(lines)
+            for _ in range(copies):
+                broken.insert(rng.randrange(1, len(broken) + 1), bad)
+            try:
+                parse_network("\n".join(broken))
+                h.update(f"{bad!r} {copies} parsed\n".encode())
+            except NetvecError as exc:
+                h.update(f"{bad!r} {copies} {type(exc).__name__} {exc.line} {exc}\n".encode())
+    return h.hexdigest()
+
+
 DIGESTS = {"network": network_digest, "repair": repair_digest,
-           "whatif": whatif_digest}
+           "whatif": whatif_digest, "parse": parse_digest}
 
 
 def main(argv=None) -> None:

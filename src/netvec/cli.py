@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from .dataset import (generate_synthetic, parse_network, parse_update_stream,
@@ -63,20 +64,33 @@ def _query_vector(session, args, width):
 
 
 def cmd_load(args) -> int:
-    state, spec = _load_state(args.network)
+    text = Path(args.network).read_text(encoding="utf-8")
+    t0 = time.perf_counter()
+    spec = parse_network(text)
+    t1 = time.perf_counter()
+    state = NetworkState.from_spec(spec)
+    t2 = time.perf_counter()
     trie = state.trie
+    prefixes = {p for tables in (spec.rules, spec.acls, spec.transforms)
+                for t in tables.values() for p in t}
+    prefixes.update(p for t in spec.transforms.values() for p in t.values())
     payload = {
         "routers": len(spec.routers),
         "edges": len(spec.edges),
         "rules": spec.rule_count,
+        "prefixes": len(prefixes),
         "classes": trie.num_leaves,
         "iatomic": trie.iatomic_count,
         "width": spec.width,
+        "parse_s": t1 - t0,
+        "load_s": t2 - t1,
     }
     _emit(args, payload, [
         f"loaded {payload['routers']} routers, {payload['edges']} links, "
         f"{payload['rules']} rules (width {spec.width})",
+        f"prefixes: {payload['prefixes']} distinct",
         f"classes: {payload['classes']} ({payload['iatomic']} induced)",
+        f"parse {payload['parse_s']:.3f} s, load {payload['load_s']:.3f} s",
     ])
     return 0
 

@@ -90,66 +90,121 @@ class CdfSummary:
 # ----------------------------------------------------------------------
 # parsing
 
-def parse_network(text: str) -> NetworkSpec:
-    """Parse the line format above; diagnostics carry 1-based line numbers."""
-    spec: NetworkSpec | None = None
-    ports_in_edges: set[tuple[str, int]] = set()
+def _lines(text: str):
+    """(1-based line number, words) of each line that holds more than a
+    `#` comment."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if parts:
+            yield lineno, parts
 
+
+def _int_at(lineno: int, token: str, what: str) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise ParseError(f"bad {what} {token!r}", line=lineno) from None
+    if value < 0:
+        raise ParseError(f"{what} must be non-negative", line=lineno)
+    return value
+
+
+class _Tokens:
+    """Prefix and port tokens of one parse, each distinct token parsed once.
+
+    Equal prefix tokens yield the same `Prefix` object, which the tables and
+    the trie then share. The memo lives for one call because the width is
+    fixed per call. A token that fails is not cached, so it reports the line
+    it first appears on.
+    """
+
+    __slots__ = ("width", "prefixes", "ports")
+
+    def __init__(self, width: int):
+        self.width = width
+        self.prefixes: dict[str, Prefix] = {}
+        self.ports: dict[str, int] = {}
+
+    def prefix(self, lineno: int, token: str) -> Prefix:
+        pfx = self.prefixes.get(token)
+        if pfx is None:
+            try:
+                pfx = self.prefixes[token] = parse_prefix(token, self.width)
+            except ParseError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+        return pfx
+
+    def port(self, lineno: int, token: str) -> int:
+        port = self.ports.get(token)
+        if port is None:
+            port = _int_at(lineno, token, "port")
+            if port >= 1 << 24:
+                raise ParseError("port numbers are limited to 24 bits", line=lineno)
+            self.ports[token] = port
+        return port
+
+
+def parse_network(text: str) -> NetworkSpec:
+    """Parse the line format above; diagnostics carry 1-based line numbers.
+
+    Each distinct prefix and port token is parsed once per call, so the
+    cost follows the lines plus the distinct prefixes, and equal prefixes
+    share one `Prefix` object.
+    """
     def err(lineno, msg):
         raise ParseError(msg, line=lineno)
 
-    def prefix_at(lineno, token, width):
-        try:
-            return parse_prefix(token, width)
-        except ParseError as exc:
-            err(lineno, str(exc))
-
-    def int_at(lineno, token, what):
-        try:
-            value = int(token)
-        except ValueError:
-            err(lineno, f"bad {what} {token!r}")
-        if value < 0:
-            err(lineno, f"{what} must be non-negative")
-        if what == "port" and value >= 1 << 24:
-            err(lineno, "port numbers are limited to 24 bits")
-        return value
-
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    lines = _lines(text)
+    for lineno, parts in lines:          # the first directive fixes the width
+        if parts[0] != "WIDTH":
+            err(lineno, "first directive must be WIDTH")
+        if len(parts) != 2:
+            err(lineno, "WIDTH takes one argument")
+        width = _int_at(lineno, parts[1], "width")
+        if width < 1 or width > 128:
+            err(lineno, f"width {width} outside [1, 128]")
+        break
+    else:
+        return NetworkSpec(width=32)
+    spec = NetworkSpec(width=width)
+    rules = spec.rules
+    tokens = _Tokens(width)
+    names: dict[str, str] = {}           # one string per router, shared by edges and tables
+    ports_in_edges: set[tuple[str, int]] = set()
+    for lineno, parts in lines:
         kw = parts[0]
-        if spec is None:
-            if kw != "WIDTH":
-                err(lineno, "first directive must be WIDTH")
-            if len(parts) != 2:
-                err(lineno, "WIDTH takes one argument")
-            width = int_at(lineno, parts[1], "width")
-            if width < 1 or width > 128:
-                err(lineno, f"width {width} outside [1, 128]")
-            spec = NetworkSpec(width=width)
-            continue
-        if kw == "WIDTH":
+        if kw == "RULE" or kw == "PBR":
+            if len(parts) != 4:
+                err(lineno, f"{kw} takes 3 arguments")
+            r = parts[1]
+            table = rules.get(r)
+            if table is None:
+                err(lineno, f"unknown router {r!r}")
+            pfx = tokens.prefix(lineno, parts[2])
+            port = tokens.port(lineno, parts[3])
+            if table.setdefault(pfx, port) != port:
+                err(lineno, f"conflicting rule for {parts[2]} at {r!r}")
+            if kw == "PBR":
+                spec.pbr.add((r, pfx))
+        elif kw == "WIDTH":
             err(lineno, "duplicate WIDTH directive")
         elif kw == "NODE":
             if len(parts) != 2:
                 err(lineno, "NODE takes one argument")
             name = parts[1]
-            if name in spec.rules:
+            if name in rules:
                 err(lineno, f"duplicate router {name!r}")
             spec.routers.append(name)
-            spec.rules[name] = {}
+            rules[name] = {}
+            names[name] = name
         elif kw == "EDGE":
             if len(parts) != 5:
                 err(lineno, "EDGE takes 4 arguments")
-            a, b = parts[1], parts[3]
-            pa = int_at(lineno, parts[2], "port")
-            pb = int_at(lineno, parts[4], "port")
-            for r in (a, b):
-                if r not in spec.rules:
-                    err(lineno, f"unknown router {r!r}")
+            pa = tokens.port(lineno, parts[2])
+            pb = tokens.port(lineno, parts[4])
+            a, b = names.get(parts[1]), names.get(parts[3])
+            if a is None or b is None:
+                err(lineno, f"unknown router {parts[1] if a is None else parts[3]!r}")
             if a == b:
                 err(lineno, "self-loop edge")
             for end in ((a, pa), (b, pb)):
@@ -158,50 +213,30 @@ def parse_network(text: str) -> NetworkSpec:
                                         line=lineno)
                 ports_in_edges.add(end)
             spec.edges.append((a, pa, b, pb))
-        elif kw in ("RULE", "PBR"):
-            if len(parts) != 4:
-                err(lineno, f"{kw} takes 3 arguments")
-            r = parts[1]
-            if r not in spec.rules:
-                err(lineno, f"unknown router {r!r}")
-            pfx = prefix_at(lineno, parts[2], spec.width)
-            port = int_at(lineno, parts[3], "port")
-            existing = spec.rules[r].get(pfx)
-            if existing is not None and existing != port:
-                err(lineno, f"conflicting rule for {parts[2]} at {r!r}")
-            spec.rules[r][pfx] = port
-            if kw == "PBR":
-                spec.pbr.add((r, pfx))
         elif kw == "ACL":
             if len(parts) != 4 or parts[3] not in ("permit", "deny"):
                 err(lineno, "ACL takes: router prefix permit|deny")
-            r = parts[1]
-            if r not in spec.rules:
-                err(lineno, f"unknown router {r!r}")
-            pfx = prefix_at(lineno, parts[2], spec.width)
+            r = names.get(parts[1])
+            if r is None:
+                err(lineno, f"unknown router {parts[1]!r}")
+            pfx = tokens.prefix(lineno, parts[2])
             permit = parts[3] == "permit"
-            acl = spec.acls.setdefault(r, {})
-            if pfx in acl and acl[pfx] != permit:
+            if spec.acls.setdefault(r, {}).setdefault(pfx, permit) != permit:
                 err(lineno, f"conflicting ACL action for {parts[2]} at {r!r}")
-            acl[pfx] = permit
         elif kw == "XFORM":
             if len(parts) != 5 or parts[3] != "->":
                 err(lineno, "XFORM takes: router match -> out")
-            r = parts[1]
-            if r not in spec.rules:
-                err(lineno, f"unknown router {r!r}")
-            match = prefix_at(lineno, parts[2], spec.width)
-            out = prefix_at(lineno, parts[4], spec.width)
+            r = names.get(parts[1])
+            if r is None:
+                err(lineno, f"unknown router {parts[1]!r}")
+            match = tokens.prefix(lineno, parts[2])
+            out = tokens.prefix(lineno, parts[4])
             if match.length != out.length:
                 err(lineno, "rewrite requires equal prefix lengths")
-            table = spec.transforms.setdefault(r, {})
-            if match in table and table[match] != out:
+            if spec.transforms.setdefault(r, {}).setdefault(match, out) != out:
                 err(lineno, f"conflicting rewrite for {parts[2]} at {r!r}")
-            table[match] = out
         else:
             err(lineno, f"unknown directive {kw!r}")
-    if spec is None:
-        spec = NetworkSpec(width=32)
     return spec
 
 
@@ -236,22 +271,15 @@ def serialize_network(spec: NetworkSpec) -> str:
 
 
 def parse_update_stream(text: str, width: int) -> list[UpdateEvent]:
+    """Parse `+`/`-` lines; prefix and port tokens are checked and shared as
+    in `parse_network`."""
+    tokens = _Tokens(width)
     events = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _lines(text):
         if len(parts) != 4 or parts[0] not in ("+", "-"):
             raise ParseError("update line is: +|- router prefix port", line=lineno)
-        try:
-            pfx = parse_prefix(parts[2], width)
-        except ParseError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-        try:
-            port = int(parts[3])
-        except ValueError:
-            raise ParseError(f"bad port {parts[3]!r}", line=lineno) from None
+        pfx = tokens.prefix(lineno, parts[2])
+        port = tokens.port(lineno, parts[3])
         op = "insert" if parts[0] == "+" else "delete"
         events.append(UpdateEvent(op, parts[1], pfx, port, seq=len(events)))
     return events

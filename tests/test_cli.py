@@ -37,6 +37,7 @@ def test_load(toy_file, capsys):
     code, out, _ = run(capsys, "load", toy_file)
     assert code == 0
     assert "4 routers" in out and "classes: 4" in out
+    assert "prefixes: 5 distinct" in out and "parse " in out and "load " in out
 
 
 def test_load_json(toy_file, capsys):
@@ -44,6 +45,8 @@ def test_load_json(toy_file, capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["rules"] == 5 and payload["iatomic"] == 1
+    assert payload["prefixes"] == 5
+    assert payload["parse_s"] >= 0 and payload["load_s"] >= 0
 
 
 def test_verify(toy_file, capsys):
@@ -136,6 +139,14 @@ def test_bench(toy_file, tmp_path, capsys):
     stream.write_text("+ Q 00/2 0\n- Q 00/2 0\n", encoding="utf-8")
     code, out, _ = run(capsys, "bench", toy_file, "--stream", str(stream))
     assert code == 0 and "2 verifications" in out
+
+
+@pytest.mark.parametrize("port", ["-5", "99999999999"])
+def test_bench_stream_port_out_of_range(toy_file, tmp_path, capsys, port):
+    stream = tmp_path / "updates.txt"
+    stream.write_text(f"+ Q 00/2 0\n+ Q 00/2 {port}\n", encoding="utf-8")
+    code, _, err = run(capsys, "bench", toy_file, "--stream", str(stream))
+    assert code == 2 and err.startswith("input error: line 2: port")
 
 
 def test_bench_bad_batch_size(toy_file, tmp_path, capsys):

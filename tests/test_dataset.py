@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netvec.dataset import (BenchRecord, generate_synthetic, parse_network,
-                            parse_update_stream, run_update_stream,
+from netvec.dataset import (BenchRecord, NetworkSpec, generate_synthetic,
+                            parse_network, parse_update_stream, run_update_stream,
                             serialize_network, serialize_update_stream,
                             summarize)
 from netvec.errors import DuplicateEdge, InfeasibleParameters, ParseError
@@ -83,6 +83,91 @@ def test_roundtrip_generated_spec():
     assert parse_network(serialize_network(spec)) == spec
 
 
+@pytest.mark.parametrize("width,a,b", [(32, "10.0.0.0/8", "11.0.0.0/8"),
+                                        (16, "00001010/8", "00001011/8")])
+def test_equal_tokens_share_one_prefix(width, a, b):
+    spec = parse_network(f"WIDTH {width}\nNODE A\nNODE B\nEDGE A 0 B 0\n"
+                         f"RULE A {a} 0\nRULE B {a} 1\nPBR B {b} 1\n"
+                         f"ACL A {a} deny\nACL B {b} permit\n"
+                         f"XFORM A {a} -> {b}\nXFORM B {b} -> {a}\n")
+    p, q = spec.rules["B"]
+    assert (p, q) == (Prefix(10, 8), Prefix(11, 8))
+    for x in (*spec.rules["A"], *spec.acls["A"], *spec.transforms["A"],
+              spec.transforms["B"][q]):
+        assert x is p
+    for x in (*spec.acls["B"], *spec.transforms["B"], spec.transforms["A"][p],
+              *(r for _, r in spec.pbr)):
+        assert x is q
+    events = parse_update_stream(f"+ A {a} 0\n- B {a} 1\n+ A {b} 2\n", width)
+    assert events[0].prefix is events[1].prefix
+    assert events[0].prefix == p and events[2].prefix == q
+
+
+def test_malformed_token_after_repeats_reports_its_line():
+    text = "WIDTH 3\nNODE A\n" + "RULE A 01/2 0\n" * 3 + "RULE A 012/3 0\n"
+    with pytest.raises(ParseError, match="^line 6: prefix bits '012'"):
+        parse_network(text)
+
+
+def test_same_malformed_token_twice_reports_first_line():
+    text = "WIDTH 3\nNODE A\nRULE A 01/2 0\nRULE A 2/1 0\nRULE A 2/1 0\n"
+    with pytest.raises(ParseError) as err:
+        parse_network(text)
+    assert err.value.line == 4
+    with pytest.raises(ParseError) as err:
+        parse_update_stream("+ A 01/2 0\n- A 2/1 0\n+ A 2/1 0\n", 3)
+    assert err.value.line == 2
+
+
+def test_conflicting_rule_after_interned_repeat():
+    text = ("WIDTH 3\nNODE A\nNODE B\nRULE A 01/2 0\nRULE B 01/2 1\n"
+            "RULE A 01/2 0\nRULE A 01/2 1\n")
+    with pytest.raises(ParseError, match="^line 7: conflicting rule for 01/2 at 'A'"):
+        parse_network(text)
+
+
+def _specs(width):
+    """Specs whose every table entry survives serialize/parse: routers each
+    with a rule table, ACL and rewrite tables only where they hold entries,
+    PBR only on rules, and each port linked at most once."""
+    prefixes = st.builds(lambda length, bits: Prefix(bits >> (width - length), length),
+                         st.integers(0, width), st.integers(0, (1 << width) - 1))
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(1, 4))
+        routers = [f"r{i}" for i in range(n)]
+        spec = NetworkSpec(width=width, routers=routers,
+                           rules={r: draw(st.dictionaries(prefixes, st.integers(0, 5),
+                                                          max_size=6))
+                                  for r in routers})
+        free = {r: list(range(6)) for r in routers}
+        for a, b in draw(st.lists(st.tuples(st.sampled_from(routers),
+                                            st.sampled_from(routers)), max_size=4)):
+            if a != b and free[a] and free[b]:
+                spec.edges.append((a, free[a].pop(0), b, free[b].pop()))
+        for r in routers:
+            acl = draw(st.dictionaries(prefixes, st.booleans(), max_size=3))
+            if acl:
+                spec.acls[r] = acl
+            matches = draw(st.lists(prefixes, max_size=3, unique=True))
+            if matches:
+                spec.transforms[r] = {
+                    m: Prefix(draw(st.integers(0, (1 << m.length) - 1)), m.length)
+                    for m in matches}
+            for p in spec.rules[r]:
+                if draw(st.booleans()):
+                    spec.pbr.add((r, p))
+        return spec
+    return build()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_specs(16), _specs(32)))
+def test_roundtrip_property(spec):
+    assert parse_network(serialize_network(spec)) == spec
+
+
 def test_parser_totality_fuzz():
     rng = random.Random(99)
     corpus_words = ["WIDTH", "NODE", "EDGE", "RULE", "ACL", "XFORM", "PBR",
@@ -124,6 +209,15 @@ def test_update_stream_diagnostics():
         parse_update_stream("* A 01/2 0\n", 3)
     with pytest.raises(ParseError):
         parse_update_stream("+ A 01/2\n", 3)
+
+
+@pytest.mark.parametrize("port,fragment", [
+    ("-5", "port must be non-negative"),
+    ("99999999999", "port numbers are limited to 24 bits"),
+])
+def test_update_stream_port_range(port, fragment):
+    with pytest.raises(ParseError, match=f"^line 2: {fragment}"):
+        parse_update_stream(f"+ r0 0/1 5\n+ r0 0/1 {port}\n", 16)
 
 
 # ----------------------------------------------------------------------
