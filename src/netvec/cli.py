@@ -64,6 +64,8 @@ def _query_vector(session, args, width):
 
 
 def cmd_load(args) -> int:
+    import resource     # here, so that `import netvec` does not load it
+
     text = Path(args.network).read_text(encoding="utf-8")
     t0 = time.perf_counter()
     spec = parse_network(text)
@@ -84,6 +86,8 @@ def cmd_load(args) -> int:
         "width": spec.width,
         "parse_s": t1 - t0,
         "load_s": t2 - t1,
+        # the process peak so far; ru_maxrss is in KiB on Linux
+        "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     _emit(args, payload, [
         f"loaded {payload['routers']} routers, {payload['edges']} links, "
@@ -91,6 +95,7 @@ def cmd_load(args) -> int:
         f"prefixes: {payload['prefixes']} distinct",
         f"classes: {payload['classes']} ({payload['iatomic']} induced)",
         f"parse {payload['parse_s']:.3f} s, load {payload['load_s']:.3f} s",
+        f"peak RSS {payload['max_rss_mb']:.1f} MB",
     ])
     return 0
 
@@ -247,6 +252,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.json and not args.out:      # stdout carries the network text
+        raise ParseError("--json needs --out")
     mask_dist = None
     if args.mask_dist:
         mask_dist = {}
@@ -263,8 +270,10 @@ def cmd_gen(args) -> int:
     text = serialize_network(spec)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}: {len(spec.routers)} routers, "
-              f"{spec.rule_count} rules")
+        payload = {"out": args.out, "routers": len(spec.routers),
+                   "edges": len(spec.edges), "rules": spec.rule_count}
+        _emit(args, payload, [f"wrote {args.out}: {payload['routers']} routers, "
+                              f"{payload['rules']} rules"])
     else:
         sys.stdout.write(text)
     return 0
@@ -344,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=32)
     p.add_argument("--mask-dist", help="e.g. 8:1,16:3,24:8")
     p.add_argument("--out", help="output file (stdout if omitted)")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true",
+                   help="machine-readable summary (needs --out)")
     p.set_defaults(func=cmd_gen)
 
     return parser

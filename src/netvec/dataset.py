@@ -170,7 +170,7 @@ def parse_network(text: str) -> NetworkSpec:
     rules = spec.rules
     tokens = _Tokens(width)
     names: dict[str, str] = {}           # one string per router, shared by edges and tables
-    ports_in_edges: set[tuple[str, int]] = set()
+    linked: dict[str, set[int]] = {}     # router -> its ports in EDGE lines
     for lineno, parts in lines:
         kw = parts[0]
         if kw == "RULE" or kw == "PBR":
@@ -197,6 +197,7 @@ def parse_network(text: str) -> NetworkSpec:
             spec.routers.append(name)
             rules[name] = {}
             names[name] = name
+            linked[name] = set()
         elif kw == "EDGE":
             if len(parts) != 5:
                 err(lineno, "EDGE takes 4 arguments")
@@ -207,11 +208,12 @@ def parse_network(text: str) -> NetworkSpec:
                 err(lineno, f"unknown router {parts[1] if a is None else parts[3]!r}")
             if a == b:
                 err(lineno, "self-loop edge")
-            for end in ((a, pa), (b, pb)):
-                if end in ports_in_edges:
-                    raise DuplicateEdge(f"port {end[1]} of {end[0]!r} already linked",
+            for end, port in ((a, pa), (b, pb)):
+                ports = linked[end]
+                if port in ports:
+                    raise DuplicateEdge(f"port {port} of {end!r} already linked",
                                         line=lineno)
-                ports_in_edges.add(end)
+                ports.add(port)
             spec.edges.append((a, pa, b, pb))
         elif kw == "ACL":
             if len(parts) != 4 or parts[3] not in ("permit", "deny"):

@@ -47,13 +47,7 @@ class RectifyResult:
 
 
 def _adjacency(topology) -> dict[str, list[tuple[int, str]]]:
-    adj: dict[str, list[tuple[int, str]]] = {r: [] for r in topology.nodes}
-    for a, pa, b, pb in topology.edges:
-        adj[a].append((pa, b))
-        adj[b].append((pb, a))
-    for entries in adj.values():
-        entries.sort()
-    return adj
+    return {r: sorted(ports.items()) for r, ports in topology.peers.items()}
 
 
 def _simple_paths(topology, src: str, dst: str,
@@ -80,7 +74,7 @@ def path_quality(session: VerificationSession, src: str, dst: str, *,
     """All simple topology paths src -> dst scored by cumulative projection
     error, ascending (ties broken by the path itself)."""
     for r in (src, dst):
-        if r not in session.topology.nodes:
+        if r not in session.topology.peers:
             raise UnknownRouter(r)
     if b_init is None:
         b_init = StateVector.ones(session.m)

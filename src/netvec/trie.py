@@ -262,9 +262,13 @@ class HeaderTrie:
 
     def insert_owners(self, prefix: Prefix, owners: dict[str, int], *,
                       materialize: bool = True) -> UpdateOutcome:
-        """Bulk variant of insert_header: one walk, many owners."""
+        """Bulk variant of insert_header: one walk, many owners.
+
+        Takes ownership of `owners`: a node with no owners yet adopts the
+        dict itself, so the caller must not change it afterwards.
+        """
         def mark(node):
-            node.owners = {**node.owners, **owners}
+            node.owners = {**node.owners, **owners} if node.owners else owners
 
         return self._apply_insert(prefix, mark, materialize)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dataset import NetworkSpec, UpdateEvent
 from .errors import (AlignmentDiverged, DimensionMismatch, InfeasibleParameters,
@@ -26,17 +26,20 @@ from .vectors import (ForwardingVector, StateVector, TransformMatrix,
 
 @dataclass
 class Topology:
-    nodes: set[str]
+    """The links of a network. ``peers[r][port]`` is the router at the other
+    end of `r`'s linked `port`. Every router has an entry, so ``r in peers``
+    tells a router from an unknown name, and a port absent from ``peers[r]``
+    is host-facing. ``edges`` is the spec's own list, not a copy."""
     edges: list[tuple[str, int, str, int]]
-    port_link: dict[tuple[str, int], tuple[str, int]] = field(default_factory=dict)
+    peers: dict[str, dict[int, str]]
 
     @classmethod
     def from_spec(cls, spec: NetworkSpec) -> "Topology":
-        topo = cls(nodes=set(spec.routers), edges=list(spec.edges))
-        for a, pa, b, pb in topo.edges:
-            topo.port_link[(a, pa)] = (b, pb)
-            topo.port_link[(b, pb)] = (a, pa)
-        return topo
+        peers: dict[str, dict[int, str]] = {r: {} for r in spec.routers}
+        for a, pa, b, pb in spec.edges:
+            peers[a][pa] = b
+            peers[b][pb] = a
+        return cls(edges=spec.edges, peers=peers)
 
     def find_edge(self, a: str, pa: int, b: str, pb: int):
         for edge in self.edges:
@@ -211,17 +214,16 @@ class VerificationSession:
             mask = mask_of(js, m)
             masks[port] = masks.get(port, 0) | mask
             union |= mask
-        link = self.topology.port_link
+        peers = self.topology.peers[router]
         by_port: dict[int, int] = {}
         links = []
         keys = []
         for port, mask in sorted(masks.items()):
             by_port[port] = mask
-            key = (router, port)
-            keys.append(key)
-            peer = link.get(key)
+            keys.append((router, port))
+            peer = peers.get(port)
             if peer is not None:
-                links.append((mask, peer[0]))
+                links.append((mask, peer))
         memo.by_port = by_port
         memo.links = tuple(links)
         memo.keys = frozenset(keys)
@@ -313,7 +315,7 @@ def _start_bits(session: VerificationSession, routers: tuple[str, ...],
                 b_init: StateVector | None) -> int:
     """Check a query's routers and initial vector; the classes it starts with."""
     for r in routers:
-        if r not in session.topology.nodes:
+        if r not in session.topology.peers:
             raise UnknownRouter(r)
     m = session.m
     if b_init is None:
@@ -538,11 +540,12 @@ class NetworkState:
     def homes(self) -> dict[Prefix, str]:
         """Each prefix's home: the first router, in ``spec.routers`` order,
         whose rule for it uses a host-facing (unlinked) port."""
-        link = self.topology.port_link
+        peers = self.topology.peers
         homes: dict[Prefix, str] = {}
         for r in self.spec.routers:
+            linked = peers[r]
             for pfx, port in self.spec.rules[r].items():
-                if (r, port) not in link:
+                if port not in linked:
                     homes.setdefault(pfx, r)
         return homes
 
@@ -555,9 +558,9 @@ class NetworkState:
             if node is None:
                 break
             path.append(node)
-        link = self.topology.port_link
+        peers = self.topology.peers
         for node in reversed(path):
-            hosts = [r for r, port in node.owners.items() if (r, port) not in link]
+            hosts = [r for r, port in node.owners.items() if port not in peers[r]]
             if hosts:
                 return min(hosts, key=self.spec.routers.index)
         return None

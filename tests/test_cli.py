@@ -47,6 +47,9 @@ def test_load_json(toy_file, capsys):
     assert payload["rules"] == 5 and payload["iatomic"] == 1
     assert payload["prefixes"] == 5
     assert payload["parse_s"] >= 0 and payload["load_s"] >= 0
+    assert payload["max_rss_mb"] > 1       # the interpreter alone holds more
+    code, out, _ = run(capsys, "load", toy_file)
+    assert code == 0 and "peak RSS " in out
 
 
 def test_verify(toy_file, capsys):
@@ -172,6 +175,23 @@ def test_gen_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "load", str(out_file), "--json")
     payload = json.loads(out)
     assert payload["routers"] == 6 and payload["rules"] == 24
+
+
+def test_gen_json_summary(tmp_path, capsys):
+    out_file = tmp_path / "gen.net"
+    code, out, _ = run(capsys, "gen", "--nodes", "6", "--edges", "8",
+                       "--rules-per-node", "4", "--seed", "3",
+                       "--out", str(out_file), "--json")
+    assert code == 0
+    assert json.loads(out) == {"out": str(out_file), "routers": 6, "edges": 8,
+                               "rules": 24}
+    assert out_file.read_text(encoding="utf-8").startswith("WIDTH ")
+
+
+def test_gen_json_needs_out(capsys):
+    code, out, err = run(capsys, "gen", "--nodes", "6", "--edges", "8", "--json")
+    assert code == 2 and out == ""
+    assert err.strip() == "input error: --json needs --out"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

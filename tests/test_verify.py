@@ -4,8 +4,11 @@ import sys
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from netvec.dataset import UpdateEvent, generate_synthetic, parse_network
+from netvec.dataset import (NetworkSpec, UpdateEvent, generate_synthetic, parse_network,
+                            serialize_network)
 from netvec.errors import (InfeasibleParameters, NotFound, PbrProtected,
                            UnknownLink, UnknownRouter)
 from netvec.oracle import blackhole_events, looped_headers, simulate_all
@@ -18,6 +21,7 @@ from netvec.verify import (NetworkState, Topology, batch_update, check_policy,
 
 from conftest import (TOY_NETWORK, headers_of, naive_lpm, pfx,
                       random_small_network)
+from test_dataset import _specs
 
 
 def toy_state():
@@ -34,6 +38,33 @@ def order_bits(vec, session, order):
 
 
 PAPER_ORDER = ["001/3", "000/3", "01/2"]
+
+
+# ----------------------------------------------------------------------
+# topology
+
+_PARALLEL = NetworkSpec(width=8, routers=["a", "b", "c"],
+                        rules={"a": {}, "b": {}, "c": {}},
+                        edges=[("a", 0, "b", 0), ("a", 1, "b", 3), ("b", 1, "a", 2)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_specs(8), _specs(16)))
+@example(_PARALLEL)
+def test_peers_name_the_far_end_of_every_linked_port(generated):
+    # as generated, and as parsed back (the parser's own router strings)
+    for spec in (generated, parse_network(serialize_network(generated))):
+        peers = Topology.from_spec(spec).peers
+        assert list(peers) == spec.routers
+        for a, pa, b, pb in spec.edges:
+            assert peers[a][pa] == b and peers[b][pb] == a
+        linked = ({(a, pa) for a, pa, _, _ in spec.edges}
+                  | {(b, pb) for _, _, b, pb in spec.edges})
+        assert {(r, port) for r, ports in peers.items() for port in ports} == linked
+        ends = {r for a, _, b, _ in spec.edges for r in (a, b)}
+        assert all(peers[r] == {} for r in spec.routers if r not in ends)
+        routers = {id(r) for r in spec.routers}
+        assert all(id(peer) in routers for ports in peers.values() for peer in ports.values())
 
 
 # ----------------------------------------------------------------------
@@ -109,14 +140,14 @@ def test_hop_monotonicity_without_transforms():
         state = NetworkState.from_spec(spec)
         session = state.session()
         report = verify_reachability(session, spec.routers[0], spec.routers[-1])
-        link = state.topology.port_link
+        peers = state.topology.peers
         for res in report.per_path:
             # replay the path: each hop may only clear bits
             bits = (1 << session.m) - 1
             for r, nxt in zip(res.path, res.path[1:]):
                 e, pre = session.enter(r, bits)
                 port = next(p for p, mask in e.by_port.items()
-                            if link.get((r, p), (None,))[0] == nxt
+                            if peers[r].get(p) == nxt
                             and mask & bits)
                 out = e.by_port[port] & pre
                 assert out & ~bits == 0
@@ -220,9 +251,14 @@ def test_session_answers_describe_the_network_it_was_built_on():
         covering = [p for p in spec.rules[src] for c in reached if p.contains(c)]
         if covering:
             pfx_ = max(covering, key=lambda p: (p.length, p.value))
+            # the node holds the owner map that load grouped and handed over
+            adopted = state.trie._walk(pfx_)[-1].owners
+            kept = dict(adopted)
+            assert kept == {r: t[pfx_] for r, t in spec.rules.items() if pfx_ in t}
             host_port = 1 + max([pa for a, pa, _, _ in spec.edges if a == src]
                                 + [pb for _, _, b, pb in spec.edges if b == src])
             state.apply_update(UpdateEvent("insert", src, pfx_, host_port, 0))
+            assert adopted == kept          # replaced by the update, never edited
 
         for a, b in ((src, dst), (dst, src)):
             got = headers_of(verify_reachability(old, a, b).reachable, spec.width)
@@ -583,7 +619,7 @@ def test_whatif_matches_oracle():
 def _state_view(state):
     """Everything a what-if or a failed batch must leave as it was."""
     return (copy.deepcopy(state.spec.rules), list(state.spec.edges),
-            list(state.topology.edges), dict(state.topology.port_link),
+            list(state.topology.edges), copy.deepcopy(state.topology.peers),
             dict(state.homes))
 
 
