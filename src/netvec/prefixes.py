@@ -9,23 +9,33 @@ widths share one representation.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ParseError
 
 
 @dataclass(frozen=True, slots=True)
 class Prefix:
-    """An L-bit header pattern of `length` leading bits with value `value`."""
+    """An L-bit header pattern of `length` leading bits with value `value`.
+
+    The hash is computed once, at construction: prefixes key the rule
+    tables, the trie's owner groups and decoded class sets, so every
+    lookup would otherwise build and hash a tuple.
+    """
 
     value: int
     length: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.length < 0:
             raise ValueError(f"negative prefix length {self.length}")
         if self.value < 0 or (self.length < self.value.bit_length()):
             raise ValueError(f"value {self.value} does not fit in {self.length} bits")
+        object.__setattr__(self, "_hash", hash((self.value, self.length)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def bit(self, i: int) -> int:
         """Bit at position i, counting from the most significant stored bit."""

@@ -29,7 +29,7 @@ class Label(IntEnum):
 
 class TrieNode:
     __slots__ = ("zero", "one", "owners", "acl", "xform", "marker",
-                 "label", "value", "depth")
+                 "label", "value", "depth", "_prefix")
 
     def __init__(self, value: int, depth: int):
         self.zero: TrieNode | None = None
@@ -43,6 +43,7 @@ class TrieNode:
         self.label = Label.NONE
         self.value = value                      # path bits as an integer
         self.depth = depth
+        self._prefix: Prefix | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -53,7 +54,11 @@ class TrieNode:
         return bool(self.owners or self.acl or self.xform or self.marker)
 
     def prefix(self) -> Prefix:
-        return Prefix(self.value, self.depth)
+        """The node's prefix, built on first use and kept (a node never
+        moves), so affected sets reuse one `Prefix` per class."""
+        if self._prefix is None:
+            self._prefix = Prefix(self.value, self.depth)
+        return self._prefix
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, replace
 
 from .dataset import NetworkSpec, UpdateEvent
 from .errors import (AlignmentDiverged, DimensionMismatch, InfeasibleParameters,
@@ -105,13 +106,28 @@ class WhatIfResult:
 # session
 
 def _set_bits(mask: int) -> list[int]:
-    """Indices of the set bits of `mask`, ascending."""
+    """Indices of the set bits of `mask`, ascending.
+
+    Peels up to 16 bits from the top (each step shrinks the int, so a
+    sparse mask costs a few word operations) and reads what is left, if
+    anything, from one binary string, whose cost follows the width.
+    """
+    high = []
+    for _ in range(16):
+        if not mask:
+            high.reverse()
+            return high
+        j = mask.bit_length() - 1
+        high.append(j)
+        mask ^= 1 << j
     text = bin(mask)[:1:-1]             # least significant bit first
     out = []
     i = text.find("1")
     while i >= 0:
         out.append(i)
         i = text.find("1", i + 1)
+    high.reverse()
+    out += high
     return out
 
 
@@ -121,28 +137,61 @@ class RouterMemo:
     ``pending`` marks the classes not resolved yet (the complement of the
     resolved-class mask, so a hop tests it with one AND); the other fields
     cover every resolved class and only grow. ``by_port`` maps each port to
-    its mask in ascending port order; ``links`` holds the ``(mask,
-    peer_router)`` pairs of the linked ones in the same order (host-facing
-    ports deliver, so a traversal never follows them) and ``keys`` the
-    ``(router, port)`` pairs of every port, which a hop adds to the
-    session's ``touched`` set at once. ``union`` is the OR of the masks,
-    ``permit`` the classes the router's ACL lets through (None while no
-    resolved class is denied) and ``xform`` the rewrite matrix (explicit
-    columns for resolved rewritten classes), or None while no resolved
-    class is rewritten.
+    its mask in ascending port order and ``keys`` holds the ``(router,
+    port)`` pairs of every port, which a hop adds to the session's
+    ``touched`` set at once. `split` reads the port index: ``port_of[j]``
+    is resolved class j's port, or -1 when no rule matches it, ``groups``
+    maps each linked port to its ``(mask, peer_router)``, ``linked`` is the
+    OR of those masks and ``dropped`` the resolved classes no rule matches.
+    ``union`` is the OR of all port masks (host-facing ports deliver, so a
+    traversal never follows them), ``permit`` the classes the router's ACL
+    lets through (None while no resolved class is denied) and ``xform`` the
+    rewrite matrix (explicit columns for resolved rewritten classes), or
+    None while no resolved class is rewritten.
     """
 
-    __slots__ = ("pending", "by_port", "links", "keys", "union", "permit",
-                 "xform")
+    __slots__ = ("pending", "by_port", "keys", "port_of", "groups", "linked",
+                 "dropped", "union", "permit", "xform")
 
     def __init__(self, m: int):
         self.pending = (1 << m) - 1
         self.by_port: dict[int, int] = {}
-        self.links: tuple[tuple[int, str], ...] = ()
         self.keys: frozenset[tuple[str, int]] = frozenset()
+        self.port_of = [-1] * m
+        self.groups: dict[int, tuple[int, str]] = {}
+        self.linked = 0
+        self.dropped = 0
         self.union = 0
         self.permit: int | None = None
         self.xform: TransformMatrix | None = None
+
+    def split(self, bits: int) -> list[tuple[int, str]]:
+        """Where the resolved classes `bits` leave over links: the
+        ``(classes, peer_router)`` pair of each linked port that gets some,
+        in ascending port order. Classes sent to a host-facing port are
+        delivered; ``bits & dropped`` are the ones no rule matches.
+
+        Takes the port of the highest moving class; when that port's mask
+        holds all moving classes, it is the only link (the common case).
+        Otherwise it walks the linked ports in ascending order and stops
+        once every moving class has a port.
+        """
+        moving = bits & self.linked
+        if not moving:
+            return []
+        mask, peer = self.groups[self.port_of[moving.bit_length() - 1]]
+        out = moving & mask
+        if out == moving:
+            return [(out, peer)]
+        links = []
+        for mask, peer in self.groups.values():        # ascending port order
+            out = moving & mask
+            if out:
+                links.append((out, peer))
+                moving ^= out
+                if not moving:
+                    break
+        return links
 
 
 class VerificationSession:
@@ -186,6 +235,7 @@ class VerificationSession:
 
     def _extend(self, router: str, memo: RouterMemo, need: int) -> None:
         chains = self.affected.chains
+        port_of = memo.port_of
         found: dict[int, list[int]] = {}      # port -> newly resolved classes
         denied: list[int] = []
         columns: dict[int, int] = {}
@@ -195,6 +245,7 @@ class VerificationSession:
                 port = owners.get(router)
                 if port is not None:
                     found.setdefault(port, []).append(j)
+                    port_of[j] = port           # no reader looks at j before pending shrinks
                     break
             for _, acl, _, _ in reversed(chain):
                 permit = acl.get(router)
@@ -209,25 +260,29 @@ class VerificationSession:
                     break
         m = self.m
         masks = dict(memo.by_port)
-        union = memo.union
+        routed = 0
         for port, js in found.items():
             mask = mask_of(js, m)
             masks[port] = masks.get(port, 0) | mask
-            union |= mask
+            routed |= mask
         peers = self.topology.peers[router]
         by_port: dict[int, int] = {}
-        links = []
+        groups: dict[int, tuple[int, str]] = {}
+        linked = 0
         keys = []
         for port, mask in sorted(masks.items()):
             by_port[port] = mask
             keys.append((router, port))
             peer = peers.get(port)
             if peer is not None:
-                links.append((mask, peer))
+                groups[port] = (mask, peer)
+                linked |= mask
         memo.by_port = by_port
-        memo.links = tuple(links)
         memo.keys = frozenset(keys)
-        memo.union = union
+        memo.groups = groups
+        memo.linked = linked
+        memo.dropped |= need & ~routed
+        memo.union |= routed
         if denied:
             permit = (1 << m) - 1 if memo.permit is None else memo.permit
             memo.permit = permit & ~mask_of(denied, m)
@@ -304,8 +359,7 @@ class VerificationSession:
         return StateVector(bits, self.m)
 
     def decode(self, bits: int) -> frozenset[Prefix]:
-        classes = self.classes
-        return frozenset(classes[j] for j in _set_bits(bits))
+        return frozenset(map(self.classes.__getitem__, _set_bits(bits)))
 
 
 # ----------------------------------------------------------------------
@@ -356,13 +410,14 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
     per_path: list[PathResult] = []
     truncated = False
     explored = 0
-    # entries: router, incoming bits, path so far, per-hop errors, visited states
-    stack = [(src, start, (), (), ())]
+    # entries: router, incoming bits, routers before it, visited states, and
+    # the hop into it as (previous hop, router, live bits, bits sent on)
+    stack = [(src, start, (), (), None)]
     while stack:
-        r, bits, path, errs, states = stack.pop()
+        r, bits, path, states, hop = stack.pop()
         explored += 1
         if r == dst:
-            per_path.append(PathResult(path + (r,), StateVector(bits, m), errs))
+            per_path.append(PathResult(path + (r,), StateVector(bits, m), _hop_errors(hop)))
             if max_paths is not None and len(per_path) >= max_paths:
                 truncated = True
                 break
@@ -373,20 +428,19 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
         e, b1 = enter(r, bits)
         if b1 == 0:
             continue
+        touched |= e.keys
+        links = e.split(b1)
+        if not links:
+            continue
         new_path = path + (r,)
         new_states = states + ((r, bits),) if by_state else ()
-        touched |= e.keys
-        for vmask, nr in e.links:
-            out = vmask & b1
-            if out == 0:
-                continue
+        for out, nr in links:
             if by_state:
                 if (nr, out) in new_states:
                     continue
             elif nr in new_path:
                 continue
-            err = (r, math.sqrt((b1 ^ out).bit_count()))
-            stack.append((nr, out, new_path, errs + (err,), new_states))
+            stack.append((nr, out, new_path, new_states, (hop, r, b1, out)))
 
     union = 0
     for res in per_path:
@@ -399,6 +453,16 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
         truncated=truncated,
         reachable_vector=StateVector(union, m),
     )
+
+
+def _hop_errors(hop) -> tuple[tuple[str, float], ...]:
+    """Per-hop projection errors along a chain of hop records, first hop
+    first: the l2 norm of the live classes a router did not send on."""
+    errs = ()
+    while hop is not None:
+        hop, r, b1, out = hop
+        errs = ((r, math.sqrt((b1 ^ out).bit_count())),) + errs
+    return errs
 
 
 def detect_loop(session: VerificationSession, src: str,
@@ -422,10 +486,7 @@ def detect_loop(session: VerificationSession, src: str,
             continue
         new_path = path + (r,)
         touched |= e.keys
-        for vmask, nr in e.links:
-            out = vmask & b1
-            if out == 0:
-                continue
+        for out, nr in e.split(b1):
             if nr in new_path:
                 cycle = new_path[new_path.index(nr):]
                 return LoopReport(cycle=cycle, headers=session.decode(out))
@@ -437,33 +498,40 @@ def detect_blackhole(session: VerificationSession, src: str,
                      b_init: StateVector | None = None) -> list[BlackholeReport]:
     """Routers that drop traffic for lack of a matching rule.
 
-    Explores the reachable (router, vector) state space from `src`
-    (memoized, so cyclic networks terminate) and reports, per router, the
-    classes that arrive but match no forwarding rule there.
+    Computes the classes that can arrive at each router from `src` as a
+    least fixpoint: a FIFO worklist of routers, each processed with the
+    classes that arrived since its last turn and forwarding on only what
+    its peers have not seen yet, so cyclic networks terminate. `enter` and
+    the projection distribute over OR, so this equals exploring every
+    reachable (router, vector) state. Reports, per router, the classes that
+    arrive but match no forwarding rule there.
     """
     start = _start_bits(session, (src,), b_init)
     enter = session.enter
     touched = session.touched
     holes: dict[str, int] = {}
-    seen = {(src, start)}
-    stack = [(src, start)]
-    while stack:
-        r, bits = stack.pop()
-        e, b1 = enter(r, bits)
+    arrived = {src: start}
+    waiting = {src: start}                  # router -> classes not yet processed
+    queue = deque((src,))
+    while queue:
+        r = queue.popleft()
+        e, b1 = enter(r, waiting.pop(r))
         if b1 == 0:
             continue
-        residual = b1 & ~e.union
-        if residual:
-            holes[r] = holes.get(r, 0) | residual
         touched |= e.keys
-        for vmask, nr in e.links:
-            out = vmask & b1
-            if out == 0:
-                continue
-            state = (nr, out)
-            if state not in seen:
-                seen.add(state)
-                stack.append(state)
+        dropped = b1 & e.dropped
+        if dropped:
+            holes[r] = holes.get(r, 0) | dropped
+        for out, nr in e.split(b1):
+            seen = arrived.get(nr, 0)
+            new = out & ~seen
+            if new:
+                arrived[nr] = seen | new
+                if nr in waiting:
+                    waiting[nr] |= new
+                else:
+                    waiting[nr] = new
+                    queue.append(nr)
     return [BlackholeReport(router=r, headers=session.decode(bits))
             for r, bits in sorted(holes.items())]
 
@@ -496,7 +564,10 @@ class NetworkState:
     """Mutable network model backing incremental verification.
 
     Single-writer: updates require exclusive access. Sessions built from it
-    are immutable snapshots and may be queried concurrently.
+    are immutable snapshots and may be queried concurrently. The state
+    shares the loaded spec's per-router rule tables and copies a table the
+    first time an update writes to it, so the loaded spec never changes
+    (nor should it be edited while the state is in use).
     """
 
     def __init__(self, spec: NetworkSpec, trie: HeaderTrie, topology: Topology):
@@ -504,6 +575,7 @@ class NetworkState:
         self.trie = trie
         self.topology = topology
         self.protected = spec.protected_prefixes()
+        self._own: set[str] = set()         # routers whose table this state copied
 
     @property
     def tables(self) -> dict[str, dict[Prefix, int]]:
@@ -511,7 +583,7 @@ class NetworkState:
 
     @classmethod
     def from_spec(cls, spec: NetworkSpec) -> "NetworkState":
-        spec = spec.copy()
+        spec = replace(spec, rules=dict(spec.rules))
         topology = Topology.from_spec(spec)
         trie = HeaderTrie(spec.width)
         by_prefix: dict[Prefix, dict[str, int]] = {}
@@ -610,6 +682,14 @@ class NetworkState:
             raise AlignmentDiverged("transform class alignment did not converge")
         trie.materialize_iatomic()
 
+    def _writable(self, router: str) -> dict[Prefix, int]:
+        """`router`'s rule table, copied on the first write to it."""
+        if router in self._own:
+            return self.spec.rules[router]
+        table = self.spec.rules[router] = dict(self.spec.rules[router])
+        self._own.add(router)
+        return table
+
     def apply_update(self, event: UpdateEvent, *, pbr: bool = False) -> UpdateOutcome:
         if event.router not in self.spec.rules:
             raise UnknownRouter(event.router)
@@ -618,12 +698,12 @@ class NetworkState:
         table = self.spec.rules[event.router]
         if event.op == "insert":
             outcome = self.trie.insert_header(event.prefix, (event.router, event.port))
-            table[event.prefix] = event.port
+            self._writable(event.router)[event.prefix] = event.port
         elif event.op == "delete":
             if table.get(event.prefix) != event.port:
                 raise NotFound(f"no rule ({event.prefix}, {event.port}) at {event.router}")
             outcome = self.trie.delete_header(event.prefix, (event.router, event.port))
-            del table[event.prefix]
+            del self._writable(event.router)[event.prefix]
         else:
             raise ValueError(f"unknown op {event.op!r}")
         if self.spec.transforms:
@@ -660,10 +740,10 @@ class NetworkState:
             if current != port:
                 if port is None:
                     self.trie.delete_header(prefix, (router, current))
-                    del table[prefix]
+                    del self._writable(router)[prefix]
                 else:
                     self.trie.insert_header(prefix, (router, port))
-                    table[prefix] = port
+                    self._writable(router)[prefix] = port
         if log and self.spec.transforms:
             self._align_transforms()
 

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -58,6 +62,7 @@ def test_equality_is_length_sensitive():
     assert Prefix(0b01, 2) == Prefix(1, 2)
 
 
+
 prefixes = st.integers(0, 8).flatmap(
     lambda n: st.tuples(st.integers(0, (1 << n) - 1 if n else 0), st.just(n)))
 
@@ -75,3 +80,17 @@ def test_contains_iff_range_nesting(a, b):
     lo_a, hi_a = pa.range(8)
     lo_b, hi_b = pb.range(8)
     assert pa.contains(pb) == (lo_a <= lo_b and hi_b <= hi_a)
+
+
+@given(prefixes)
+def test_hash_follows_equality_through_parse_copy_pickle_and_replace(t):
+    p = Prefix(*t)
+    parsed = parse_prefix(str(p), 8)          # a separate parse, a separate object
+    copies = [parsed, copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p)),
+              dataclasses.replace(p)]
+    for q in copies:
+        assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
+    assert len({p, *copies}) == 1
+    if p.length:
+        other = dataclasses.replace(p, value=p.value ^ 1)
+        assert other != p and hash(other) == hash(Prefix(p.value ^ 1, p.length))

@@ -289,6 +289,15 @@ def test_root_affected_covers_everything():
     assert [str(p) for p in aff.classes] == ["00/2", "1/1"]
 
 
+def test_affected_sets_share_each_leaf_prefix():
+    trie = build(3, [("00/2", ("Y", 0)), ("1/1", ("R", 0))])
+    first = trie.compute_affected(ROOT).classes
+    trie.insert_header(pfx("01/2"), ("Y", 1))
+    second = trie.compute_affected(ROOT).classes
+    assert [str(p) for p in second] == ["00/2", "01/2", "1/1"]
+    assert second[0] is first[0] and second[2] is first[1]
+
+
 # ----------------------------------------------------------------------
 # invariants
 

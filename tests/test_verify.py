@@ -330,8 +330,9 @@ def test_concurrent_queries_match_serial_answers():
     full = (1 << shared.m) - 1
     for router, memo in shared.memo.items():
         again = fresh.resolve(router, full & ~memo.pending)
-        assert (memo.by_port, memo.links, memo.keys, memo.union, memo.permit) == \
-            (again.by_port, again.links, again.keys, again.union, again.permit)
+        fields = ("by_port", "keys", "port_of", "groups", "linked", "dropped", "union",
+                  "permit")
+        assert [getattr(memo, f) for f in fields] == [getattr(again, f) for f in fields]
         assert (memo.xform is None) == (again.xform is None)
         if memo.xform is not None:
             assert memo.xform.columns == again.xform.columns
@@ -357,8 +358,111 @@ def test_memo_publishes_fields_before_pending_shrinks(monkeypatch):
         writes.clear()
         session.resolve("Y", 1 << j)
         assert writes[-1] == "pending", writes
-        assert {"by_port", "links", "keys"} <= set(writes[:-1]), writes
+        assert {"by_port", "keys", "groups", "linked", "dropped", "union"} <= \
+            set(writes[:-1]), writes
     assert session.memo["Y"].pending == 0
+
+
+# ----------------------------------------------------------------------
+# the hop kernel
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 4000), max_size=60), st.integers(0, 1))
+def test_set_bits_lists_every_set_bit_ascending(positions, dense_low):
+    from netvec.verify import _set_bits
+    mask = sum({1 << j for j in positions}) | (dense_low * ((1 << 40) - 1))
+    assert _set_bits(mask) == [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def _with_parallel_links(spec, rng, count):
+    """Add a second link beside `count` existing ones, on fresh ports, and
+    move about half of the rules that used the first link's port onto it."""
+    for _ in range(count):
+        a, pa, b, pb = rng.choice(spec.edges)
+        fresh = []
+        for r in (a, b):
+            used = [p for x, px, y, py in spec.edges for p, z in ((px, x), (py, y)) if z == r]
+            fresh.append(1 + max(used + list(spec.rules[r].values())))
+        spec.edges.append((a, fresh[0], b, fresh[1]))
+        for prefix, port in sorted(spec.rules[a].items(), key=lambda kv: (kv[0].value, kv[0].length)):
+            if port == pa and rng.random() < 0.5:
+                spec.rules[a][prefix] = fresh[0]
+    return spec
+
+
+def _kernel_specs(seeds):
+    for seed in seeds:
+        spec = random_small_network(seed, gap_fraction=0.2, back_edges=2,
+                                    n_acls=3, n_transforms=3)
+        yield seed, _with_parallel_links(spec, random.Random(seed), 2)
+
+
+def test_split_equals_the_link_scan():
+    """`RouterMemo.split` equals a scan of every linked port in ascending
+    order, on partly resolved memos and random live sets."""
+    cases = multi = 0
+    for seed, spec in _kernel_specs(range(30)):
+        state = NetworkState.from_spec(spec)
+        session = state.session()
+        rng = random.Random(seed)
+        m = session.m
+        full = (1 << m) - 1
+        for router in spec.routers:
+            peers = state.topology.peers[router]
+            for _ in range(6):
+                memo = session.resolve(router, rng.getrandbits(m))
+                resolved = full & ~memo.pending
+                live = resolved & rng.getrandbits(m)
+                scan = [(mask & live, peers[port]) for port, mask in sorted(memo.by_port.items())
+                        if port in peers and mask & live]
+                assert memo.split(live) == scan, (seed, router)
+                assert live & memo.dropped == live & ~memo.union
+                for j in range(m):
+                    if resolved >> j & 1:
+                        port = next((p for p, mask in memo.by_port.items() if mask >> j & 1), -1)
+                        assert memo.port_of[j] == port, (seed, router, j)
+                cases += 1
+                multi += len(scan) > 1
+    assert cases > 1000 and multi > 100
+
+
+def _dfs_blackholes(session, src, start):
+    """Blackholes by depth-first search over (router, classes) states, each
+    state entered once, with every linked port scanned: the reference the
+    worklist must equal."""
+    holes = {}
+    seen = {(src, start)}
+    stack = [(src, start)]
+    while stack:
+        r, bits = stack.pop()
+        e, b1 = session.enter(r, bits)
+        if b1 == 0:
+            continue
+        if b1 & ~e.union:
+            holes[r] = holes.get(r, 0) | (b1 & ~e.union)
+        peers = session.topology.peers[r]
+        for port, mask in e.by_port.items():
+            state = (peers.get(port), mask & b1)
+            if state[0] is not None and state[1] and state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return [(r, session.decode(bits)) for r, bits in sorted(holes.items())]
+
+
+def test_blackhole_worklist_equals_state_dfs():
+    found = 0
+    for seed, spec in _kernel_specs(range(30)):
+        state = NetworkState.from_spec(spec)
+        session, reference = state.session(), state.session()
+        rng = random.Random(seed)
+        m = session.m
+        for src in spec.routers:
+            for bits in ((1 << m) - 1, rng.getrandbits(m), rng.getrandbits(m)):
+                got = detect_blackhole(session, src, StateVector(bits, m))
+                want = _dfs_blackholes(reference, src, bits)
+                assert [(rep.router, rep.headers) for rep in got] == want, (seed, src)
+                found += len(got)
+    assert found > 100
 
 
 # ----------------------------------------------------------------------
@@ -659,6 +763,22 @@ def test_failed_batch_leaves_state_unchanged():
     assert _state_view(state) == before
     report, _ = batch_update(state, good, r, dst)          # and the batch still applies
     assert state.tables[r][p1] == other and state.homes[fresh] == r
+
+
+def test_state_never_changes_the_loaded_spec():
+    spec = random_small_network(5, gap_fraction=0.1, n_acls=2, n_transforms=2)
+    before = copy.deepcopy(spec)
+    state = NetworkState.from_spec(spec)
+    r, dst = spec.routers[0], spec.routers[-1]
+    (p, port), = sorted(spec.rules[r].items(), key=lambda kv: (kv[0].value, kv[0].length))[:1]
+    state.apply_update(UpdateEvent("delete", r, p, port, 0))
+    state.apply_update(UpdateEvent("insert", r, p, port + 1, 1))
+    assert state.tables[r][p] == port + 1
+    with pytest.raises(NotFound):
+        batch_update(state, [UpdateEvent("insert", dst, p, 0, 2),
+                             UpdateEvent("delete", dst, p, 9, 3)], r, dst)
+    whatif_link_down(state, spec.edges[0], r, dst)
+    assert spec == before
 
 
 def test_whatif_and_failed_batches_keep_answers_equal_to_oracle():
