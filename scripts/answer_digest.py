@@ -5,6 +5,7 @@
     PYTHONPATH=src python3 scripts/answer_digest.py --shape repair --seed 41 --count 60
     PYTHONPATH=src python3 scripts/answer_digest.py --shape whatif --seed 7 --count 120
     PYTHONPATH=src python3 scripts/answer_digest.py --shape parse --seed 7 --count 2000
+    PYTHONPATH=src python3 scripts/answer_digest.py --shape state --seed 7 --count 2000
 
 Run it with the `src/` of two checkouts on PYTHONPATH and compare the
 printed digests: equal digests mean bit-identical answers. Only the public
@@ -40,6 +41,15 @@ sprinkled with comments and blank lines, and `parse_update_stream` on
 ACL entries and rewrites in table order, PBR entries, and every event. It
 also covers the error type, line and message of copies of the width-16
 text with malformed lines inserted at seeded places.
+
+state: `NetworkState`'s rule views on a network with ACL entries, rewrites
+and withheld rules, after `--count` seeded churn events (inserts of
+withheld rules, deletes, and port replacements), then after one batch that
+fails on its last event (a second delete of its first rule), then after one `whatif_link_down`. At each of the
+three points the digest covers every router's `tables` sorted by prefix,
+`homes` sorted by prefix, and `home_of` of every churn event's prefix in
+event order; it also covers the failed batch's error name and the
+what-if's triggered deletions.
 """
 
 from __future__ import annotations
@@ -236,6 +246,61 @@ def repair_digest(seed: int, count: int) -> str:
     return h.hexdigest()
 
 
+def state_views(state, prefixes) -> str:
+    lines = [f"rule {r} {_key(p)} {port}" for r, table in sorted(state.tables.items())
+             for p, port in sorted(table.items(), key=lambda kv: _key(kv[0]))]
+    lines += [f"home {_key(p)} {r}" for p, r in sorted(state.homes.items(),
+                                                        key=lambda kv: _key(kv[0]))]
+    lines += [f"home_of {_key(p)} {state.home_of(p)}" for p in prefixes]
+    return "\n".join(lines) + "\n"
+
+
+def state_digest(seed: int, count: int) -> str:
+    rng = random.Random(f"{seed}:policy")
+    spec = build(seed, 40, 120, 200, 20, 8, None, rng)
+    withheld = withhold(spec, rng, spec.rule_count // 20)
+    state = NetworkState.from_spec(spec)
+    # each churned rule's original port, and its port now (None: absent)
+    ports = {(r, p): q for r in spec.routers
+             for p, q in sorted(spec.rules[r].items(), key=lambda kv: _key(kv[0]))}
+    current: dict[tuple, int | None] = dict(ports)
+    for r, p, q in withheld:
+        ports[(r, p)], current[(r, p)] = q, None
+    keys = list(ports)
+    churn = random.Random(f"{seed}:churn")
+    events = []
+    for seq in range(count):
+        r, p = key = churn.choice(keys)
+        now = current[key]
+        if now is None:
+            ev = UpdateEvent("insert", r, p, ports[key], seq)
+        elif churn.random() < 0.5:
+            ev = UpdateEvent("delete", r, p, now, seq)
+        else:
+            ev = UpdateEvent("insert", r, p, now + churn.randint(1, 3), seq)
+        state.apply_update(ev)
+        current[key] = None if ev.op == "delete" else ev.port
+        events.append(ev)
+    prefixes = [ev.prefix for ev in events]
+    h = hashlib.sha256()
+    h.update(state_views(state, prefixes).encode())
+    present = [key for key in keys if current[key] is not None]
+    batch = [UpdateEvent("delete", *key, current[key], count + i)
+             for i, key in enumerate(churn.sample(present, 3))]
+    r, p = batch[0].router, batch[0].prefix
+    batch.append(UpdateEvent("delete", r, p, current[(r, p)], count + 3))
+    try:
+        batch_update(state, batch, *churn.sample(spec.routers, 2))
+        h.update(b"batch applied\n")
+    except NetvecError as exc:
+        h.update(f"batch {type(exc).__name__}\n".encode())
+    h.update(state_views(state, prefixes).encode())
+    result = whatif_link_down(state, churn.choice(spec.edges), *churn.sample(spec.routers, 2))
+    h.update(f"whatif {result.triggered_deletions}\n".encode())
+    h.update(state_views(state, prefixes).encode())
+    return h.hexdigest()
+
+
 # Inserted one or two at a time into valid text; a RULE line copied with
 # another port is added to these.
 BAD_LINES = ("RULE r0 012/3 0", "RULE r0 0/1 -5", "RULE r0 0/1 99999999999",
@@ -297,7 +362,7 @@ def parse_digest(seed: int, count: int) -> str:
 
 
 DIGESTS = {"network": network_digest, "repair": repair_digest,
-           "whatif": whatif_digest, "parse": parse_digest}
+           "whatif": whatif_digest, "parse": parse_digest, "state": state_digest}
 
 
 def main(argv=None) -> None:

@@ -207,9 +207,9 @@ def rectify(state: NetworkState, src: str, dst: str, intent: set[Prefix]
 
 def apply_fixes(state: NetworkState, fixes: list[RuleFix], src: str, dst: str,
                 b_init: StateVector | None = None) -> ReachabilityReport:
-    """Insert the synthesized rules and re-verify on a fresh session."""
-    for i, fix in enumerate(fixes):
-        state.apply_update(UpdateEvent("insert", fix.router, fix.prefix,
-                                       fix.port, i))
+    """Insert the synthesized rules, all or none, and re-verify on a fresh
+    session."""
+    state.apply_updates([UpdateEvent("insert", f.router, f.prefix, f.port, i)
+                         for i, f in enumerate(fixes)])
     session = state.session()
     return verify_reachability(session, src, dst, b_init)

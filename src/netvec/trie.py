@@ -65,6 +65,10 @@ class TrieNode:
 class UpdateOutcome:
     created_nodes: int
     new_leaf: bool
+    # False when the update left every node and marker in place (an insert
+    # that created no node, or a delete whose node stays a rule), so no
+    # class boundary moved
+    shape_changed: bool
 
 
 # A rule-bearing trie node as a class's chain records it: the node's
@@ -125,20 +129,21 @@ class HeaderTrie:
     # ------------------------------------------------------------------
     # leaves
 
-    def _leaves(self):
-        """The labelled leaves, in range-start order (an empty trie has none)."""
+    def nodes(self):
+        """Every node, in pre-order (a node before its zero, then one, subtree)."""
         stack = [self.root]
         while stack:
             node = stack.pop()
-            zero, one = node.zero, node.one
-            if zero is None and one is None:
-                if node.label != Label.NONE:
-                    yield node
-                continue
-            if one is not None:
-                stack.append(one)
-            if zero is not None:
-                stack.append(zero)
+            yield node
+            if node.one is not None:
+                stack.append(node.one)
+            if node.zero is not None:
+                stack.append(node.zero)
+
+    def _leaves(self):
+        """The labelled leaves, in range-start order (an empty trie has none)."""
+        return (n for n in self.nodes()
+                if n.zero is None and n.one is None and n.label != Label.NONE)
 
     def leaf_entries(self) -> list[tuple[Prefix, Label, int]]:
         """All classes as (prefix, label, coordinate), in range-start order."""
@@ -187,6 +192,11 @@ class HeaderTrie:
                 return None
             path.append(node)
         return path
+
+    def port(self, prefix: Prefix, router: str) -> int | None:
+        """`router`'s port for exactly `prefix`, or None if it has no such rule."""
+        path = self._walk(prefix)
+        return None if path is None else path[-1].owners.get(router)
 
     def _complete(self, top: TrieNode, covered: bool) -> int:
         """Create iatomic siblings for single-child nodes under supernets."""
@@ -247,7 +257,8 @@ class HeaderTrie:
                     created += self._complete(scope, covered=True)
             elif node.label == Label.SUPERNET and not was_supernet:
                 created += self._complete(node, covered=True)
-        return UpdateOutcome(created_nodes=created, new_leaf=new_leaf)
+        return UpdateOutcome(created_nodes=created, new_leaf=new_leaf,
+                             shape_changed=created > 0)
 
     def insert_header(self, prefix: Prefix, owner: tuple[str, int], *,
                       materialize: bool = True) -> UpdateOutcome:
@@ -310,7 +321,7 @@ class HeaderTrie:
         del owners[router]
         node.owners = owners
         if node.is_rule:
-            return UpdateOutcome(0, False)       # other rules keep the node alive
+            return UpdateOutcome(0, False, False)    # other rules keep the node alive
         self._relabel(node)
         created = 0
         scope = self._nearest_supernet(path[:-1])
@@ -322,7 +333,7 @@ class HeaderTrie:
         elif len(path) > 1:
             self._unlink(path[-2], node)
             self._prune_upward(path[:-1])
-        return UpdateOutcome(created_nodes=created, new_leaf=False)
+        return UpdateOutcome(created_nodes=created, new_leaf=False, shape_changed=True)
 
     def _prune_upward(self, path: list[TrieNode]) -> None:
         """Drop trailing chain nodes that carry no rule and no children."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from .dataset import NetworkSpec, UpdateEvent
 from .errors import (AlignmentDiverged, DimensionMismatch, InfeasibleParameters,
-                     NotFound, PbrProtected, UnknownLink, UnknownRouter)
+                     PbrProtected, UnknownLink, UnknownRouter)
 from .prefixes import ROOT, Prefix
 from .trie import AffectedSets, HeaderTrie, UpdateOutcome
 from .vectors import (ForwardingVector, StateVector, TransformMatrix,
@@ -564,26 +564,35 @@ class NetworkState:
     """Mutable network model backing incremental verification.
 
     Single-writer: updates require exclusive access. Sessions built from it
-    are immutable snapshots and may be queried concurrently. The state
-    shares the loaded spec's per-router rule tables and copies a table the
-    first time an update writes to it, so the loaded spec never changes
-    (nor should it be edited while the state is in use).
+    are immutable snapshots and may be queried concurrently. The trie is the
+    only store of forwarding rules: `tables`, `homes` and `spec` are views
+    built from it on access, and the loaded spec is never changed (nor
+    should it be edited while the state is in use).
     """
 
     def __init__(self, spec: NetworkSpec, trie: HeaderTrie, topology: Topology):
-        self.spec = spec
+        self._loaded = spec
         self.trie = trie
         self.topology = topology
         self.protected = spec.protected_prefixes()
-        self._own: set[str] = set()         # routers whose table this state copied
+        self._rank = {r: i for i, r in enumerate(spec.routers)}
 
     @property
     def tables(self) -> dict[str, dict[Prefix, int]]:
-        return self.spec.rules
+        """Each router's forwarding rules, {prefix: port}."""
+        tables: dict[str, dict[Prefix, int]] = {r: {} for r in self._loaded.routers}
+        for node in self.trie.nodes():
+            for r, port in node.owners.items():
+                tables[r][node.prefix()] = port
+        return tables
+
+    @property
+    def spec(self) -> NetworkSpec:
+        """The network as it is now: the loaded spec with the current rules."""
+        return replace(self._loaded, rules=self.tables)
 
     @classmethod
     def from_spec(cls, spec: NetworkSpec) -> "NetworkState":
-        spec = replace(spec, rules=dict(spec.rules))
         topology = Topology.from_spec(spec)
         trie = HeaderTrie(spec.width)
         by_prefix: dict[Prefix, dict[str, int]] = {}
@@ -608,17 +617,21 @@ class NetworkState:
         state._align_transforms()
         return state
 
+    def _home(self, node) -> str | None:
+        """The home of `node`'s prefix among its owners, or None."""
+        peers = self.topology.peers
+        hosts = [r for r, port in node.owners.items() if port not in peers[r]]
+        return min(hosts, key=self._rank.__getitem__) if hosts else None
+
     @property
     def homes(self) -> dict[Prefix, str]:
         """Each prefix's home: the first router, in ``spec.routers`` order,
         whose rule for it uses a host-facing (unlinked) port."""
-        peers = self.topology.peers
         homes: dict[Prefix, str] = {}
-        for r in self.spec.routers:
-            linked = peers[r]
-            for pfx, port in self.spec.rules[r].items():
-                if port not in linked:
-                    homes.setdefault(pfx, r)
+        for node in self.trie.nodes():
+            home = self._home(node)
+            if home is not None:
+                homes[node.prefix()] = home
         return homes
 
     def home_of(self, prefix: Prefix) -> str | None:
@@ -630,11 +643,10 @@ class NetworkState:
             if node is None:
                 break
             path.append(node)
-        peers = self.topology.peers
         for node in reversed(path):
-            hosts = [r for r, port in node.owners.items() if port not in peers[r]]
-            if hosts:
-                return min(hosts, key=self.spec.routers.index)
+            home = self._home(node)
+            if home is not None:
+                return home
         return None
 
     def _align_transforms(self) -> None:
@@ -646,7 +658,7 @@ class NetworkState:
         fragment another rule's match subtree.
         """
         rules = [(match, out)
-                 for table in self.spec.transforms.values()
+                 for table in self._loaded.transforms.values()
                  for match, out in table.items()]
         if not rules:
             return
@@ -682,35 +694,22 @@ class NetworkState:
             raise AlignmentDiverged("transform class alignment did not converge")
         trie.materialize_iatomic()
 
-    def _writable(self, router: str) -> dict[Prefix, int]:
-        """`router`'s rule table, copied on the first write to it."""
-        if router in self._own:
-            return self.spec.rules[router]
-        table = self.spec.rules[router] = dict(self.spec.rules[router])
-        self._own.add(router)
-        return table
-
     def apply_update(self, event: UpdateEvent, *, pbr: bool = False) -> UpdateOutcome:
-        if event.router not in self.spec.rules:
+        if event.router not in self.topology.peers:
             raise UnknownRouter(event.router)
         if not pbr and event.prefix in self.protected:
             raise PbrProtected(f"{event.prefix} is PBR-protected")
-        table = self.spec.rules[event.router]
         if event.op == "insert":
             outcome = self.trie.insert_header(event.prefix, (event.router, event.port))
-            self._writable(event.router)[event.prefix] = event.port
         elif event.op == "delete":
-            if table.get(event.prefix) != event.port:
-                raise NotFound(f"no rule ({event.prefix}, {event.port}) at {event.router}")
             outcome = self.trie.delete_header(event.prefix, (event.router, event.port))
-            del self._writable(event.router)[event.prefix]
         else:
             raise ValueError(f"unknown op {event.op!r}")
-        if self.spec.transforms:
+        if outcome.shape_changed and self._loaded.transforms:
             self._align_transforms()
         return outcome
 
-    def apply_updates(self, events: list[UpdateEvent]) -> list[tuple]:
+    def apply_updates(self, events: list[UpdateEvent], *, pbr: bool = False) -> list[tuple]:
         """Apply `events` in order, all or none.
 
         Returns the undo log that `undo` takes. If an event raises, the
@@ -720,9 +719,8 @@ class NetworkState:
         log: list[tuple[str, Prefix, int | None]] = []
         try:
             for ev in events:
-                port = self.spec.rules.get(ev.router, {}).get(ev.prefix)
-                log.append((ev.router, ev.prefix, port))
-                self.apply_update(ev)
+                log.append((ev.router, ev.prefix, self.trie.port(ev.prefix, ev.router)))
+                self.apply_update(ev, pbr=pbr)
         except BaseException:
             self.undo(log)
             raise
@@ -731,20 +729,17 @@ class NetworkState:
     def undo(self, log: list[tuple]) -> None:
         """Put back, newest first, the rule each logged event found (an
         insert that replaced a port gets that port back)."""
-        rules = self.spec.rules
+        trie = self.trie
+        shape_changed = False
         for router, prefix, port in reversed(log):
-            table = rules.get(router)
-            if table is None:
-                continue                        # the event was refused
-            current = table.get(prefix)
+            current = trie.port(prefix, router)
             if current != port:
                 if port is None:
-                    self.trie.delete_header(prefix, (router, current))
-                    del self._writable(router)[prefix]
+                    outcome = trie.delete_header(prefix, (router, current))
                 else:
-                    self.trie.insert_header(prefix, (router, port))
-                    self._writable(router)[prefix] = port
-        if log and self.spec.transforms:
+                    outcome = trie.insert_header(prefix, (router, port))
+                shape_changed |= outcome.shape_changed
+        if shape_changed and self._loaded.transforms:
             self._align_transforms()
 
     def affected_for(self, *prefixes: Prefix) -> AffectedSets:
@@ -779,10 +774,10 @@ def merge_affected(sets: list[AffectedSets]) -> AffectedSets:
 
 
 def _update_and_verify(state: NetworkState, updates: list[UpdateEvent], src: str,
-                       dst: str, b_init: StateVector | None
+                       dst: str, b_init: StateVector | None, *, pbr: bool = False
                        ) -> tuple[ReachabilityReport, AffectedSets, list[tuple]]:
     """`batch_update`, also returning the batch's undo log."""
-    log = state.apply_updates(updates)
+    log = state.apply_updates(updates, pbr=pbr)
     try:
         prefixes = [ev.prefix for ev in updates] or [ROOT]
         affected = state.affected_for(*prefixes)
@@ -809,17 +804,15 @@ def whatif_link_down(state: NetworkState, link: tuple[str, int, str, int],
                      src: str, dst: str) -> WhatIfResult:
     """Fail a link: delete the rules that forwarded over it and verify
     reachability as one batch. The deletions keep every class off the
-    failed ports, so the topology is left as it is; the rules are put back
-    before returning, so the state is left as it was."""
+    failed ports, so the topology is left as it is; a failed link takes
+    PBR-protected rules with it too. The rules are put back before
+    returning, so the state is left as it was."""
     a, pa, b, pb = state.topology.find_edge(*link)
     deletions: list[UpdateEvent] = []
-    seq = 0
     for router, port in ((a, pa), (b, pb)):
-        for pfx, rule_port in sorted(state.tables.get(router, {}).items(),
-                                     key=lambda kv: (kv[0].value, kv[0].length)):
-            if rule_port == port:
-                deletions.append(UpdateEvent("delete", router, pfx, port, seq))
-                seq += 1
-    report, _, log = _update_and_verify(state, deletions, src, dst, None)
+        for node in sorted((n for n in state.trie.nodes() if n.owners.get(router) == port),
+                           key=lambda n: (n.value, n.depth)):
+            deletions.append(UpdateEvent("delete", router, node.prefix(), port, len(deletions)))
+    report, _, log = _update_and_verify(state, deletions, src, dst, None, pbr=True)
     state.undo(log)
     return WhatIfResult(triggered_deletions=len(deletions), report=report)

@@ -44,6 +44,22 @@ RULE Q 00/2 1
 RULE R 1/1 2
 """
 
+# A chain A - B - C - D whose first hop carries a PBR rule: a fix for 0/1
+# toward D would insert 00/2 at B and then 0/1 at C, which is protected.
+PBR_NETWORK = """\
+WIDTH 2
+NODE A
+NODE B
+NODE C
+NODE D
+EDGE A 0 B 0
+EDGE B 1 C 0
+EDGE C 1 D 0
+PBR A 0/1 0
+RULE B 01/2 1
+RULE D 0/1 5
+"""
+
 SMALL_MASKS = {2: 1, 3: 2, 4: 3, 5: 3, 6: 2}
 
 

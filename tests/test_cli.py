@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from netvec.cli import main
 
-from conftest import RECT_NETWORK, TOY_NETWORK
+from conftest import PBR_NETWORK, RECT_NETWORK, TOY_NETWORK
 
 TOY_UPDATED = TOY_NETWORK + "RULE Q 0/1 0\n"
 
@@ -110,6 +110,14 @@ def test_whatif(toy_file, capsys):
     payload = json.loads(out)
     assert payload["triggered_deletions"] == 2
     assert payload["report"]["reachable"] == []
+
+
+def test_whatif_over_a_pbr_link(tmp_path, capsys):
+    f = tmp_path / "pbr.net"
+    f.write_text(PBR_NETWORK, encoding="utf-8")
+    code, out, _ = run(capsys, "whatif", str(f), "--link", "A:0-B:0",
+                       "--src", "A", "--dst", "D", "--json")
+    assert code == 0 and json.loads(out)["triggered_deletions"] == 1
 
 
 def test_whatif_bad_link_syntax(toy_file, capsys):

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from netvec.dataset import UpdateEvent, parse_network
-from netvec.errors import NoPath, RectificationImpossible
+from netvec.errors import NoPath, PbrProtected, RectificationImpossible
 from netvec.oracle import simulate_all
 from netvec.prefixes import Prefix
 from netvec.rectify import apply_fixes, cover_classes, path_quality, rectify
 from netvec.verify import NetworkState, verify_reachability
 
-from conftest import TOY_NETWORK, headers_of, pfx, random_small_network
+from conftest import PBR_NETWORK, TOY_NETWORK, headers_of, pfx, random_small_network
 
 
 def toy_state():
@@ -190,3 +190,14 @@ def test_apply_fixes_empty_is_noop():
     snap = state.trie.snapshot()
     apply_fixes(state, [], "Y", "R")
     assert state.trie.snapshot() == snap
+
+
+def test_refused_fix_leaves_no_fix_applied():
+    """The fixes go in all or none: B's 00/2 fix is undone when C's 0/1 fix
+    is refused as PBR-protected."""
+    state = NetworkState.from_spec(parse_network(PBR_NETWORK))
+    snap, tables = state.trie.snapshot(), state.tables
+    with pytest.raises(PbrProtected):
+        rectify(state, "A", "D", {pfx("0/1", 2)})
+    assert state.trie.snapshot() == snap
+    assert state.tables == tables

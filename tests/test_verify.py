@@ -19,7 +19,7 @@ from netvec.verify import (NetworkState, Topology, batch_update, check_policy,
                            detect_blackhole, detect_loop, verify_reachability,
                            whatif_link_down)
 
-from conftest import (TOY_NETWORK, headers_of, naive_lpm, pfx,
+from conftest import (PBR_NETWORK, TOY_NETWORK, headers_of, naive_lpm, pfx,
                       random_small_network)
 from test_dataset import _specs
 
@@ -851,3 +851,14 @@ def test_many_rewrites_match_oracle_on_every_pair():
                     assert headers_of(reach, spec.width) == \
                         simulate_all(spec, src, dst).reachable, (seed, src, dst)
     assert rewrites >= 100 and loops > 0 and holes > 0
+
+
+def test_whatif_fails_a_link_that_carries_a_pbr_rule():
+    """A failed link takes PBR-protected rules with it: the what-if answers
+    and leaves the state as it was."""
+    state = NetworkState.from_spec(parse_network(PBR_NETWORK))
+    before, snap = _state_view(state), state.trie.snapshot()
+    result = whatif_link_down(state, ("A", 0, "B", 0), "A", "D")
+    assert result.triggered_deletions == 1
+    assert result.report.reachable == frozenset()
+    assert _state_view(state) == before and state.trie.snapshot() == snap
