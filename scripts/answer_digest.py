@@ -6,6 +6,7 @@
     PYTHONPATH=src python3 scripts/answer_digest.py --shape whatif --seed 7 --count 120
     PYTHONPATH=src python3 scripts/answer_digest.py --shape parse --seed 7 --count 2000
     PYTHONPATH=src python3 scripts/answer_digest.py --shape state --seed 7 --count 2000
+    PYTHONPATH=src python3 scripts/answer_digest.py --shape snapshot --seed 7 --count 400
 
 Run it with the `src/` of two checkouts on PYTHONPATH and compare the
 printed digests: equal digests mean bit-identical answers. Only the public
@@ -50,6 +51,18 @@ three points the digest covers every router's `tables` sorted by prefix,
 `homes` sorted by prefix, and `home_of` of every churn event's prefix in
 event order; it also covers the failed batch's error name and the
 what-if's triggered deletions.
+
+snapshot: the state shape's network and churn, keeping at `--count` / 4
+event intervals a root session and a session on the last event's prefix
+(nothing resolved yet). Then 12 seeded prefixes get 200 writes each
+(inserts by routers that never had the rule, port replacements, deletes
+and re-inserts), far more than any one owner map's router count, and only
+then are the kept sessions queried. The digest covers each kept session's
+class count and sorted `p_affected`, and per session 6 seeded reach
+queries (as in network, with their touched counts) and a blackhole query
+from each reach's source (reports and touched count). Sessions answer for
+the network as it was when they were built, so every version prints the
+same digest however it keeps that snapshot.
 """
 
 from __future__ import annotations
@@ -255,32 +268,43 @@ def state_views(state, prefixes) -> str:
     return "\n".join(lines) + "\n"
 
 
-def state_digest(seed: int, count: int) -> str:
+def churn_network(seed: int):
+    """The state and snapshot shapes' network with ACL entries, rewrites and
+    withheld rules: spec, loaded state, each churnable rule's original port
+    and its port now (None: absent)."""
     rng = random.Random(f"{seed}:policy")
     spec = build(seed, 40, 120, 200, 20, 8, None, rng)
     withheld = withhold(spec, rng, spec.rule_count // 20)
     state = NetworkState.from_spec(spec)
-    # each churned rule's original port, and its port now (None: absent)
     ports = {(r, p): q for r in spec.routers
              for p, q in sorted(spec.rules[r].items(), key=lambda kv: _key(kv[0]))}
     current: dict[tuple, int | None] = dict(ports)
     for r, p, q in withheld:
         ports[(r, p)], current[(r, p)] = q, None
+    return spec, state, ports, current
+
+
+def churn_step(state, churn: random.Random, keys, ports, current, seq: int) -> UpdateEvent:
+    """Apply one seeded churn event on a rule of `keys` (an insert of an
+    absent rule, a delete, or a port replacement) and return it."""
+    r, p = key = churn.choice(keys)
+    now = current[key]
+    if now is None:
+        ev = UpdateEvent("insert", r, p, ports[key], seq)
+    elif churn.random() < 0.5:
+        ev = UpdateEvent("delete", r, p, now, seq)
+    else:
+        ev = UpdateEvent("insert", r, p, now + churn.randint(1, 3), seq)
+    state.apply_update(ev)
+    current[key] = None if ev.op == "delete" else ev.port
+    return ev
+
+
+def state_digest(seed: int, count: int) -> str:
+    spec, state, ports, current = churn_network(seed)
     keys = list(ports)
     churn = random.Random(f"{seed}:churn")
-    events = []
-    for seq in range(count):
-        r, p = key = churn.choice(keys)
-        now = current[key]
-        if now is None:
-            ev = UpdateEvent("insert", r, p, ports[key], seq)
-        elif churn.random() < 0.5:
-            ev = UpdateEvent("delete", r, p, now, seq)
-        else:
-            ev = UpdateEvent("insert", r, p, now + churn.randint(1, 3), seq)
-        state.apply_update(ev)
-        current[key] = None if ev.op == "delete" else ev.port
-        events.append(ev)
+    events = [churn_step(state, churn, keys, ports, current, seq) for seq in range(count)]
     prefixes = [ev.prefix for ev in events]
     h = hashlib.sha256()
     h.update(state_views(state, prefixes).encode())
@@ -298,6 +322,52 @@ def state_digest(seed: int, count: int) -> str:
     result = whatif_link_down(state, churn.choice(spec.edges), *churn.sample(spec.routers, 2))
     h.update(f"whatif {result.triggered_deletions}\n".encode())
     h.update(state_views(state, prefixes).encode())
+    return h.hexdigest()
+
+
+SNAPSHOT_POINTS = 4      # churn points at which the snapshot shape keeps sessions
+SNAPSHOT_PREFIXES = 12   # prefixes rewritten after the churn
+SNAPSHOT_WRITES = 200    # writes per rewritten prefix
+SNAPSHOT_QUERIES = 6     # reach and blackhole queries per kept session
+
+
+def snapshot_digest(seed: int, count: int) -> str:
+    spec, state, ports, current = churn_network(seed)
+    keys = list(ports)
+    churn = random.Random(f"{seed}:churn")
+    kept = []
+    every = max(1, count // SNAPSHOT_POINTS)
+    for seq in range(count):
+        ev = churn_step(state, churn, keys, ports, current, seq)
+        if (seq + 1) % every == 0:
+            kept.append(state.session())
+            kept.append(state.session(affected=state.affected_for(ev.prefix)))
+    writes = random.Random(f"{seed}:writes")
+    seq = count
+    for p in writes.sample(sorted({p for _, p in keys}, key=_key), SNAPSHOT_PREFIXES):
+        owners = [(r, p) for r in spec.routers]
+        for key in owners:
+            if key not in ports:                # a router that never had this rule
+                ports[key], current[key] = writes.randint(0, 3), None
+        for _ in range(SNAPSHOT_WRITES):
+            churn_step(state, writes, owners, ports, current, seq)
+            seq += 1
+    queries = random.Random(f"{seed}:queries")
+    h = hashlib.sha256()
+    for i, session in enumerate(kept):
+        lines = [f"session {i} {session.m} {sorted(session.affected.p_affected)}"]
+        for _ in range(SNAPSHOT_QUERIES):
+            src, dst = queries.sample(spec.routers, 2)
+            session.touched = set()
+            rep = verify_reachability(session, src, dst)
+            lines.append(f"reach {src} {dst} {rep.paths_explored} {rep.truncated} "
+                         f"{len(session.touched)} {classes(rep.reachable)}")
+            lines += path_lines(rep)
+            session.touched = set()
+            reps = detect_blackhole(session, src)
+            lines.append(f"blackhole {src} {len(session.touched)}")
+            lines += [f"  {r.router} {classes(r.headers)}" for r in reps]
+        h.update("\n".join(lines).encode() + b"\n")
     return h.hexdigest()
 
 
@@ -362,7 +432,8 @@ def parse_digest(seed: int, count: int) -> str:
 
 
 DIGESTS = {"network": network_digest, "repair": repair_digest,
-           "whatif": whatif_digest, "parse": parse_digest, "state": state_digest}
+           "whatif": whatif_digest, "parse": parse_digest, "state": state_digest,
+           "snapshot": snapshot_digest}
 
 
 def main(argv=None) -> None:

@@ -440,7 +440,9 @@ def run_update_stream(spec: NetworkSpec, stream: list[UpdateEvent],
     from .verify import NetworkState, batch_update, verify_reachability
 
     if mode not in ("per-update", "batch"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InfeasibleParameters(f"unknown mode {mode!r}")
+    if batch_size < 1:
+        raise InfeasibleParameters(f"batch_size must be >= 1, got {batch_size}")
     state = NetworkState.from_spec(spec)
     rng = random.Random(seed)
     records: list[BenchRecord] = []

@@ -27,18 +27,36 @@ class Label(IntEnum):
     IATOMIC = 3
 
 
+# The change log of a node whose owner map has had no write yet (or none
+# since it was replaced wholesale): shared, empty and never appended to.
+_NO_LOG: tuple = ()
+
+# The rule maps every node starts with: shared, so a node allocates no map
+# until it gets a rule. Never edited: an owner write copies a map whose log
+# is `_NO_LOG` first, and ACL and rewrite writes replace their map.
+_EMPTY: dict = {}
+
+# A node's log starts over once it holds this many entries more than its
+# owner map has owners, so a restart's copy costs O(1) per write amortised.
+LOG_SLACK = 16
+
+
 class TrieNode:
-    __slots__ = ("zero", "one", "owners", "acl", "xform", "marker",
+    __slots__ = ("zero", "one", "owners", "log", "acl", "xform", "marker",
                  "label", "value", "depth", "_prefix")
 
     def __init__(self, value: int, depth: int):
         self.zero: TrieNode | None = None
         self.one: TrieNode | None = None
-        # rule maps are replaced, never edited in place, so a reference held
-        # by an AffectedSets chain stays a snapshot
-        self.owners: dict[str, int] = {}        # router -> port (one action per router)
-        self.acl: dict[str, bool] = {}          # router -> permit
-        self.xform: dict[str, Prefix] = {}      # router -> rewrite target
+        # the owner map is edited in place (see `_write_owner`); `log` keeps
+        # each write's router and the port it had before, so an AffectedSets
+        # chain that holds the map still reads it as it was. The ACL and
+        # rewrite maps are replaced, never edited, so a held one stays a
+        # snapshot by itself.
+        self.owners: dict[str, int] = _EMPTY    # router -> port (one action per router)
+        self.log: list | tuple = _NO_LOG        # router, port before, router, ...
+        self.acl: dict[str, bool] = _EMPTY      # router -> permit
+        self.xform: dict[str, Prefix] = _EMPTY  # router -> rewrite target
         self.marker = False
         self.label = Label.NONE
         self.value = value                      # path bits as an integer
@@ -61,6 +79,27 @@ class TrieNode:
         return self._prefix
 
 
+def _write_owner(node: TrieNode, router: str, port: int | None) -> None:
+    """Set `router`'s port at `node` in place (remove it when `port` is
+    None), logging the port it had first.
+
+    A node without a log of its own, or whose log is full, first takes a
+    fresh copy of its map and an empty log: chains captured so far keep
+    the old pair, which no write touches again. The log entry goes in
+    before the map changes, so a concurrent `chain_port` never sees the
+    edit without it.
+    """
+    owners, log = node.owners, node.log
+    if log is _NO_LOG or len(log) >= 2 * (len(owners) + LOG_SLACK):
+        node.owners = owners = owners.copy()
+        node.log = log = []
+    log += (router, owners.get(router))
+    if port is None:
+        del owners[router]
+    else:
+        owners[router] = port
+
+
 @dataclass(frozen=True, slots=True)
 class UpdateOutcome:
     created_nodes: int
@@ -71,10 +110,46 @@ class UpdateOutcome:
     shape_changed: bool
 
 
-# A rule-bearing trie node as a class's chain records it: the node's
-# forwarding, ACL and rewrite maps as they were when the affected set was
-# computed, plus the low end of the node's header range.
-ChainEntry = tuple[dict[str, int], dict[str, bool], dict[str, Prefix], int]
+# A rule-bearing trie node as a class's chain records it:
+#   (owners, log, mark, acl, xform, lo)
+# `owners` and `log` are the node's owner map and change log and `mark` the
+# log's length at capture; read a router's port through `chain_port`, which
+# undoes the writes logged since. `acl` and `xform` are the node's ACL and
+# rewrite maps as they were at capture, and `lo` the low end of the node's
+# header range.
+ChainEntry = tuple[dict[str, int], list, int, dict[str, bool], dict[str, Prefix], int]
+
+
+def chain_port(entry: ChainEntry, router: str) -> int | None:
+    """`router`'s port at the entry's node when the chain was captured, or
+    None if it had no rule there.
+
+    Reads the map before the log: a write logs the old port before it
+    edits the map, so a write racing this read shows up in one or the
+    other with the same answer.
+    """
+    owners, log, mark = entry[0], entry[1], entry[2]
+    port = owners.get(router)
+    if len(log) > mark:
+        try:
+            i = log.index(router, mark)     # routers sit at even positions, ports are no str
+        except ValueError:
+            return port
+        return log[i + 1]
+    return port
+
+
+def chain_owners(entry: ChainEntry) -> dict[str, int]:
+    """The entry's whole owner map when the chain was captured (a new dict)."""
+    owners, log, mark = entry[0], entry[1], entry[2]
+    snap = owners.copy()
+    for i in range(len(log) - 2, mark - 1, -2):     # newest first: the oldest write wins
+        router, before = log[i], log[i + 1]
+        if before is None:
+            snap.pop(router, None)
+        else:
+            snap[router] = before
+    return snap
 
 
 @dataclass(frozen=True)
@@ -84,10 +159,12 @@ class AffectedSets:
     Coordinate j of every session vector is class ``classes[j]``; classes
     are ordered by range start (in-order leaf position).
     ``chains[j]`` lists the rule-bearing nodes on class j's root path,
-    root first; classes under the same nodes share one tuple. A router's
-    longest-prefix winner for class j is its entry in the deepest chain
-    node that names it, so sessions resolve (router, class) pairs on
-    demand from these snapshots.
+    root first, as `ChainEntry` records; classes under the same nodes share
+    one tuple. A router's longest-prefix winner for class j is its entry in
+    the deepest chain node that names it. The entries hold the nodes' rule
+    maps, and the owner maps' change logs, as of the computation, so
+    sessions resolve (router, class) pairs on demand for the network as it
+    was then, however the rules change afterwards.
     """
 
     classes: tuple[Prefix, ...]
@@ -110,8 +187,8 @@ class AffectedSets:
                 continue
             seen.add(id(chain))
             winners: dict[str, int] = {}
-            for owners, _, _, _ in chain:
-                winners.update(owners)
+            for entry in chain:
+                winners.update(chain_owners(entry))
             out.update(winners.items())
         return frozenset(out)
 
@@ -186,8 +263,9 @@ class HeaderTrie:
     def _walk(self, prefix: Prefix) -> list[TrieNode] | None:
         node = self.root
         path = [node]
-        for i in range(prefix.length):
-            node = node.one if prefix.bit(i) else node.zero
+        value, length = prefix.value, prefix.length
+        for shift in range(length - 1, -1, -1):
+            node = node.one if value >> shift & 1 else node.zero
             if node is None:
                 return None
             path.append(node)
@@ -233,8 +311,9 @@ class HeaderTrie:
         path = [node]
         created = 0
         branch = None        # deepest pre-existing node that gained a child
-        for i in range(prefix.length):
-            bit = prefix.bit(i)
+        value, length = prefix.value, prefix.length
+        for shift in range(length - 1, -1, -1):
+            bit = value >> shift & 1
             nxt = node.one if bit else node.zero
             if nxt is None:
                 if branch is None:
@@ -270,9 +349,7 @@ class HeaderTrie:
         router, port = owner
 
         def mark(node):
-            owners = node.owners.copy()
-            owners[router] = port
-            node.owners = owners
+            _write_owner(node, router, port)
 
         return self._apply_insert(prefix, mark, materialize)
 
@@ -281,10 +358,12 @@ class HeaderTrie:
         """Bulk variant of insert_header: one walk, many owners.
 
         Takes ownership of `owners`: a node with no owners yet adopts the
-        dict itself, so the caller must not change it afterwards.
+        dict itself, so the caller must not change it afterwards. The node's
+        map is replaced, not edited, so its log starts over.
         """
         def mark(node):
             node.owners = {**node.owners, **owners} if node.owners else owners
+            node.log = _NO_LOG
 
         return self._apply_insert(prefix, mark, materialize)
 
@@ -315,11 +394,9 @@ class HeaderTrie:
         if path is None:
             raise NotFound(f"no node for {prefix}")
         node = path[-1]
-        if router not in node.owners or node.owners[router] != port:
+        if node.owners.get(router) != port:
             raise NotFound(f"({prefix}, {(router, port)}) not present")
-        owners = node.owners.copy()
-        del owners[router]
-        node.owners = owners
+        _write_owner(node, router, None)
         if node.is_rule:
             return UpdateOutcome(0, False, False)    # other rules keep the node alive
         self._relabel(node)
@@ -397,16 +474,17 @@ class HeaderTrie:
         has_xform = False
 
         def extend(node: TrieNode, chain: tuple) -> tuple:
+            """`chain` plus rule-bearing `node`'s entry."""
             nonlocal has_xform
-            if node.owners or node.acl or node.xform:
-                if node.xform:
-                    has_xform = True
-                chain += ((node.owners, node.acl, node.xform,
-                           node.value << (width - node.depth)),)
-            return chain
+            if node.xform:
+                has_xform = True
+            log = node.log
+            return chain + ((node.owners, log, len(log), node.acl, node.xform,
+                             node.value << (width - node.depth)),)
 
         def collect(node: TrieNode, chain: tuple) -> None:
-            chain = extend(node, chain)
+            if node.owners or node.acl or node.xform:
+                chain = extend(node, chain)
             if node.zero is None and node.one is None:
                 leaves.append(node)
                 chains.append(chain)
@@ -427,13 +505,14 @@ class HeaderTrie:
                 k = min(length, p.length)
                 diff = (value >> (length - k)) ^ (p.value >> (p.length - k))
                 shared = min(shared, k - diff.bit_length())
-            while node.depth < shared:
-                child = node.one if value >> (length - 1 - node.depth) & 1 else node.zero
+            for shift in range(length - 1 - node.depth, length - 1 - shared, -1):
+                child = node.one if value >> shift & 1 else node.zero
                 if child is None:
                     if not clamp:
                         raise NodeMissing(f"no node for {lead}")
                     break                       # clamp to the deepest existing node
-                chain = extend(node, chain)
+                if node.owners or node.acl or node.xform:
+                    chain = extend(node, chain)
                 node = child
                 visits += 1
             if node.depth < shared or any(p.length == shared for p in targets):
@@ -447,7 +526,8 @@ class HeaderTrie:
                     raise NodeMissing(f"no node for {groups[node.zero is not None][0]}")
                 collect(node, chain)
                 return
-            chain = extend(node, chain)
+            if node.owners or node.acl or node.xform:
+                chain = extend(node, chain)
             for child, group in zip((node.zero, node.one), groups):
                 visits += 1
                 seek(child, chain, group)

@@ -20,7 +20,7 @@ from .dataset import NetworkSpec, UpdateEvent
 from .errors import (AlignmentDiverged, DimensionMismatch, InfeasibleParameters,
                      PbrProtected, UnknownLink, UnknownRouter)
 from .prefixes import ROOT, Prefix
-from .trie import AffectedSets, HeaderTrie, UpdateOutcome
+from .trie import AffectedSets, HeaderTrie, UpdateOutcome, chain_port
 from .vectors import (ForwardingVector, StateVector, TransformMatrix,
                       apply_transform, mask_of)
 
@@ -138,11 +138,12 @@ class RouterMemo:
     resolved-class mask, so a hop tests it with one AND); the other fields
     cover every resolved class and only grow. ``by_port`` maps each port to
     its mask in ascending port order and ``keys`` holds the ``(router,
-    port)`` pairs of every port, which a hop adds to the session's
-    ``touched`` set at once. `split` reads the port index: ``port_of[j]``
-    is resolved class j's port, or -1 when no rule matches it, ``groups``
-    maps each linked port to its ``(mask, peer_router)``, ``linked`` is the
-    OR of those masks and ``dropped`` the resolved classes no rule matches.
+    port)`` pairs of every port, which a query adds to the session's
+    ``touched`` set once for each router it entered. `split` reads the port
+    index: ``port_of[j]`` is resolved class j's port, or -1 when no rule
+    matches it, ``groups`` maps each linked port to its ``(mask,
+    peer_router)``, ``linked`` is the OR of those masks and ``dropped`` the
+    resolved classes no rule matches.
     ``union`` is the OR of all port masks (host-facing ports deliver, so a
     traversal never follows them), ``permit`` the classes the router's ACL
     lets through (None while no resolved class is denied) and ``xform`` the
@@ -240,24 +241,24 @@ class VerificationSession:
         denied: list[int] = []
         columns: dict[int, int] = {}
         for j in _set_bits(need):
-            chain = chains[j]
-            for owners, _, _, _ in reversed(chain):
-                port = owners.get(router)
-                if port is not None:
-                    found.setdefault(port, []).append(j)
-                    port_of[j] = port           # no reader looks at j before pending shrinks
+            # the deepest entry naming the router wins, per kind of rule
+            port = permit = out = None
+            for entry in reversed(chains[j]):
+                if port is None:
+                    port = chain_port(entry, router)
+                if permit is None:
+                    permit = entry[3].get(router)
+                if out is None:
+                    out = entry[4].get(router)
+                    if out is not None:
+                        columns[j] = self._image(j, entry[5], out)
+                if port is not None and permit is not None and out is not None:
                     break
-            for _, acl, _, _ in reversed(chain):
-                permit = acl.get(router)
-                if permit is not None:
-                    if not permit:
-                        denied.append(j)
-                    break
-            for _, _, xform, match_lo in reversed(chain):
-                out = xform.get(router)
-                if out is not None:
-                    columns[j] = self._image(j, match_lo, out)
-                    break
+            if port is not None:
+                found.setdefault(port, []).append(j)
+                port_of[j] = port               # no reader looks at j before pending shrinks
+            if permit is not None and not permit:
+                denied.append(j)
         m = self.m
         masks = dict(memo.by_port)
         routed = 0
@@ -343,7 +344,7 @@ class VerificationSession:
     def transforms(self) -> dict[str, TransformMatrix]:
         """Every rewriting router's full rewrite matrix (for inspection)."""
         routers = {r for chain in self.affected.chains
-                   for _, _, xform, _ in chain for r in xform}
+                   for entry in chain for r in entry[4]}
         return {r: memo.xform for r, memo in self._resolve_all(routers).items()
                 if memo.xform is not None}
 
@@ -404,7 +405,7 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
             reachable_vector=vector)
 
     enter = session.enter
-    touched = session.touched
+    entered: dict[str, frozenset] = {}      # router -> its memo's keys at the last entry
     by_state = session.has_transforms
 
     per_path: list[PathResult] = []
@@ -428,7 +429,7 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
         e, b1 = enter(r, bits)
         if b1 == 0:
             continue
-        touched |= e.keys
+        entered[r] = e.keys
         links = e.split(b1)
         if not links:
             continue
@@ -441,6 +442,7 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
             elif nr in new_path:
                 continue
             stack.append((nr, out, new_path, new_states, (hop, r, b1, out)))
+    _add_touched(session, entered)
 
     union = 0
     for res in per_path:
@@ -453,6 +455,15 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
         truncated=truncated,
         reachable_vector=StateVector(union, m),
     )
+
+
+def _add_touched(session: VerificationSession, entered: dict[str, frozenset]) -> None:
+    """Add the ports of every router a query entered to ``session.touched``,
+    once per router: a memo's keys only grow, so the last keys seen at a
+    router hold all the earlier ones."""
+    touched = session.touched
+    for keys in entered.values():
+        touched |= keys
 
 
 def _hop_errors(hop) -> tuple[tuple[str, float], ...]:
@@ -477,7 +488,7 @@ def detect_loop(session: VerificationSession, src: str,
     """
     start = _start_bits(session, (src,), b_init)
     enter = session.enter
-    touched = session.touched
+    entered: dict[str, frozenset] = {}
     stack = [(src, start, ())]
     while stack:
         r, bits, path = stack.pop()
@@ -485,12 +496,14 @@ def detect_loop(session: VerificationSession, src: str,
         if b1 == 0:
             continue
         new_path = path + (r,)
-        touched |= e.keys
+        entered[r] = e.keys
         for out, nr in e.split(b1):
             if nr in new_path:
+                _add_touched(session, entered)
                 cycle = new_path[new_path.index(nr):]
                 return LoopReport(cycle=cycle, headers=session.decode(out))
             stack.append((nr, out, new_path))
+    _add_touched(session, entered)
     return LoopReport(cycle=None, headers=frozenset())
 
 
@@ -508,7 +521,7 @@ def detect_blackhole(session: VerificationSession, src: str,
     """
     start = _start_bits(session, (src,), b_init)
     enter = session.enter
-    touched = session.touched
+    entered: dict[str, frozenset] = {}
     holes: dict[str, int] = {}
     arrived = {src: start}
     waiting = {src: start}                  # router -> classes not yet processed
@@ -518,7 +531,7 @@ def detect_blackhole(session: VerificationSession, src: str,
         e, b1 = enter(r, waiting.pop(r))
         if b1 == 0:
             continue
-        touched |= e.keys
+        entered[r] = e.keys
         dropped = b1 & e.dropped
         if dropped:
             holes[r] = holes.get(r, 0) | dropped
@@ -532,6 +545,7 @@ def detect_blackhole(session: VerificationSession, src: str,
                 else:
                     waiting[nr] = new
                     queue.append(nr)
+    _add_touched(session, entered)
     return [BlackholeReport(router=r, headers=session.decode(bits))
             for r, bits in sorted(holes.items())]
 
@@ -695,16 +709,16 @@ class NetworkState:
         trie.materialize_iatomic()
 
     def apply_update(self, event: UpdateEvent, *, pbr: bool = False) -> UpdateOutcome:
+        if event.op not in ("insert", "delete"):
+            raise InfeasibleParameters(f"unknown op {event.op!r}")
         if event.router not in self.topology.peers:
             raise UnknownRouter(event.router)
         if not pbr and event.prefix in self.protected:
             raise PbrProtected(f"{event.prefix} is PBR-protected")
         if event.op == "insert":
             outcome = self.trie.insert_header(event.prefix, (event.router, event.port))
-        elif event.op == "delete":
-            outcome = self.trie.delete_header(event.prefix, (event.router, event.port))
         else:
-            raise ValueError(f"unknown op {event.op!r}")
+            outcome = self.trie.delete_header(event.prefix, (event.router, event.port))
         if outcome.shape_changed and self._loaded.transforms:
             self._align_transforms()
         return outcome

@@ -298,6 +298,14 @@ def test_run_stream_empty():
     assert records == [] and summary.count == 0
 
 
+def test_run_stream_rejects_bad_mode_and_batch_size(toy_spec):
+    events = parse_update_stream("+ Q 0/1 0\n", 3)
+    for kwargs in ({"mode": "bogus"}, {"mode": "batch", "batch_size": 0},
+                   {"mode": "batch", "batch_size": -3}):
+        with pytest.raises(InfeasibleParameters):
+            run_update_stream(toy_spec, events, **kwargs)
+
+
 def test_run_stream_single_insert_affected_count(toy_spec):
     events = parse_update_stream("+ Q 0/1 0\n", 3)
     records, summary = run_update_stream(toy_spec, events)

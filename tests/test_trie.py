@@ -1,4 +1,6 @@
 import random
+import statistics
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from netvec.errors import NodeMissing, NotFound, PrefixTooLong
 from netvec.oracle import interval_partition
 from netvec.prefixes import ROOT, Prefix
-from netvec.trie import HeaderTrie, Label
+from netvec.trie import LOG_SLACK, HeaderTrie, Label, chain_owners, chain_port
 
 from conftest import pfx
 
@@ -417,3 +419,55 @@ def test_trie_snapshot_transferable_between_threads():
     assert all(r == results[0] for r in results)
     trie.insert_header(pfx("11/2"), ("Z", 1))  # original mutates independently
     assert clone.num_leaves != trie.num_leaves
+
+
+def test_chains_read_owner_maps_as_captured():
+    """Owner maps are edited in place (and now and then replaced); every
+    chain captured along the way still reads each node's map, and each
+    router's port, as it was."""
+    rng = random.Random(5)
+    trie = HeaderTrie(8)
+    prefixes = [pfx("0/1", 8), pfx("01/2", 8), pfx("0110/4", 8), pfx("1/1", 8)]
+    routers = [f"r{i}" for i in range(6)]
+    captured = []
+    for step in range(1200):        # ~300 writes a prefix: many log restarts
+        p, r = rng.choice(prefixes), rng.choice(routers)
+        now = trie.port(p, r)
+        if now is not None and rng.random() < 0.4:
+            trie.delete_header(p, (r, now))
+        elif rng.random() < 0.05:                   # replaces the map wholesale
+            trie.insert_owners(p, {r: rng.randrange(4)})
+        else:
+            trie.insert_header(p, (r, rng.randrange(4)))
+        if step % 40 == 0:
+            aff = trie.compute_affected(ROOT)
+            captured.append((aff, [[dict(e[0]) for e in chain] for chain in aff.chains]))
+    assert 300 > 3 * (len(routers) + LOG_SLACK)
+    for aff, maps in captured:
+        for chain, want in zip(aff.chains, maps):
+            assert [chain_owners(e) for e in chain] == want
+            for entry, owners in zip(chain, want):
+                assert [chain_port(entry, r) for r in routers] == \
+                    [owners.get(r) for r in routers]
+
+
+def test_write_cost_does_not_grow_with_owners():
+    """A write edits the owner map in place: its cost does not follow the
+    number of routers that share the prefix, even while a chain holds the map."""
+    def median_pair_ns(owners: int) -> float:
+        trie = HeaderTrie(16)
+        p = pfx("1010/4", 16)
+        trie.insert_owners(p, {f"r{i}": 1 for i in range(owners)})
+        live = trie.compute_affected(p)
+        times = []
+        for i in range(2001):
+            r = f"r{i % owners}"
+            t0 = time.perf_counter_ns()
+            trie.delete_header(p, (r, 1))
+            trie.insert_header(p, (r, 1))
+            times.append(time.perf_counter_ns() - t0)
+        assert chain_owners(live.chains[0][-1]) == {f"r{i}": 1 for i in range(owners)}
+        return statistics.median(times)
+
+    small, large = median_pair_ns(100), median_pair_ns(10_000)
+    assert large <= 3 * small, (small, large)

@@ -13,7 +13,8 @@ from netvec.errors import (InfeasibleParameters, NotFound, PbrProtected,
                            UnknownLink, UnknownRouter)
 from netvec.oracle import blackhole_events, looped_headers, simulate_all
 from netvec.prefixes import Prefix
-from netvec.trie import HeaderTrie
+from netvec import trie as trie_module
+from netvec.trie import LOG_SLACK, HeaderTrie, chain_port
 from netvec.vectors import StateVector
 from netvec.verify import (NetworkState, Topology, batch_update, check_policy,
                            detect_blackhole, detect_loop, verify_reachability,
@@ -258,7 +259,11 @@ def test_session_answers_describe_the_network_it_was_built_on():
             host_port = 1 + max([pa for a, pa, _, _ in spec.edges if a == src]
                                 + [pb for _, _, b, pb in spec.edges if b == src])
             state.apply_update(UpdateEvent("insert", src, pfx_, host_port, 0))
-            assert adopted == kept          # replaced by the update, never edited
+            # the old session's chain still reads src's pre-update port
+            entry = next(e for chain in old.affected.chains for e in chain
+                         if e[0] is adopted)
+            assert chain_port(entry, src) == kept[src]
+            assert state.trie.port(pfx_, src) == host_port
 
         for a, b in ((src, dst), (dst, src)):
             got = headers_of(verify_reachability(old, a, b).reachable, spec.width)
@@ -273,6 +278,104 @@ def test_session_answers_describe_the_network_it_was_built_on():
                 if h in covered}
         assert holes == want, seed
     assert changed > 0      # the update really moved some answer
+
+
+def _reach_answer(rep):
+    return (rep.reachable, rep.paths_explored, rep.truncated,
+            [(r.path, r.b_final.bits, r.per_hop_errors) for r in rep.per_path])
+
+
+def _blackhole_answer(reps):
+    return [(r.router, r.headers) for r in reps]
+
+
+def test_old_sessions_and_affected_sets_keep_their_snapshot():
+    """Sessions and affected sets taken at random points answer for the
+    network as it was then, after more than three log bounds of writes
+    (new owners, port replacements, deletes, re-inserts) on the prefixes
+    their chains hold."""
+    for seed in range(8):
+        spec = random_small_network(seed, gap_fraction=0.2, n_acls=3,
+                                    n_transforms=1 + seed % 2)
+        state = NetworkState.from_spec(spec)
+        rng = random.Random(seed)
+        known = sorted({p for t in spec.rules.values() for p in t},
+                       key=lambda p: (p.value, p.length))
+        hot = rng.sample(known, min(3, len(known)))
+        writes = len(hot) * (3 * (len(spec.routers) + LOG_SLACK) + 1)
+        kept = []
+        for i in range(writes):
+            if i % 37 == 0:
+                prefix = rng.choice(hot)
+                aff = state.affected_for(prefix)
+                kept.append((state.session(), state.session(affected=aff),
+                             state.affected_for(prefix), aff.p_affected,
+                             copy.deepcopy(state), prefix))
+            p, r = hot[i % len(hot)], rng.choice(spec.routers)
+            now = state.trie.port(p, r)
+            if now is not None and rng.random() < 0.4:
+                state.apply_update(UpdateEvent("delete", r, p, now, i))
+            else:
+                state.apply_update(UpdateEvent("insert", r, p, rng.randrange(5), i))
+        for root, small, aff, p_affected, then, prefix in kept:
+            assert aff.p_affected == p_affected, seed
+            ref_root = then.session()
+            ref_small = then.session(affected=then.affected_for(prefix))
+            for src, dst in [rng.sample(spec.routers, 2) for _ in range(3)]:
+                for old, ref in ((root, ref_root), (small, ref_small)):
+                    assert _reach_answer(verify_reachability(old, src, dst)) == \
+                        _reach_answer(verify_reachability(ref, src, dst)), seed
+                    assert _blackhole_answer(detect_blackhole(old, src)) == \
+                        _blackhole_answer(detect_blackhole(ref, src)), seed
+    assert trie_module._EMPTY == {}         # the map new nodes share stayed empty
+
+
+def test_old_sessions_answer_while_a_writer_edits_their_owner_maps():
+    """Readers resolving old sessions race a thread that writes the owner
+    maps those sessions hold; every answer still describes the network as
+    it was when the sessions were built."""
+    spec = random_small_network(3, gap_fraction=0.2, n_acls=2, n_transforms=1)
+    state = NetworkState.from_spec(spec)
+    rng = random.Random(3)
+    known = sorted({p for t in spec.rules.values() for p in t},
+                   key=lambda p: (p.value, p.length))
+    for seq, p in enumerate(known):                 # give every node a log of its own
+        r = next(r for r in spec.routers if p in spec.rules[r])
+        state.apply_update(UpdateEvent("insert", r, p, spec.rules[r][p], seq))
+    then = copy.deepcopy(state)
+    pairs = [tuple(rng.sample(spec.routers, 2)) for _ in range(6)]
+    want = [_reach_answer(verify_reachability(then.session(), a, b)) for a, b in pairs]
+    sessions = [[state.session() for _ in range(40)] for _ in range(4)]   # nothing resolved yet
+    problems = []
+
+    def writer():
+        for seq in range(1500):
+            p, r = rng.choice(known), rng.choice(spec.routers)
+            now = state.trie.port(p, r)
+            if now is not None and rng.random() < 0.4:
+                state.apply_update(UpdateEvent("delete", r, p, now, seq))
+            else:
+                state.apply_update(UpdateEvent("insert", r, p, rng.randrange(5), seq))
+
+    def reader(own):
+        for session in own:
+            got = [_reach_answer(verify_reachability(session, a, b)) for a, b in pairs]
+            if got != want:
+                problems.append(got)
+
+    threads = [threading.Thread(target=writer)]
+    threads += [threading.Thread(target=reader, args=(s,)) for s in sessions]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert problems == []
 
 
 def test_answers_do_not_depend_on_query_history():
@@ -763,6 +866,23 @@ def test_failed_batch_leaves_state_unchanged():
     assert _state_view(state) == before
     report, _ = batch_update(state, good, r, dst)          # and the batch still applies
     assert state.tables[r][p1] == other and state.homes[fresh] == r
+
+
+def test_unknown_op_leaves_the_trie_unchanged():
+    spec = generate_synthetic(20, 40, 30, seed=3, width=16)
+    state = NetworkState.from_spec(spec)
+    before = state.trie.snapshot()
+    r, dst = spec.routers[0], spec.routers[-1]
+    (p1, port1), (p2, port2) = sorted(spec.rules[r].items(),
+                                      key=lambda kv: (kv[0].value, kv[0].length))[:2]
+    with pytest.raises(InfeasibleParameters):
+        state.apply_update(UpdateEvent("replace", r, p1, port1, 0))
+    assert state.trie.snapshot() == before
+    with pytest.raises(InfeasibleParameters):
+        batch_update(state, [UpdateEvent("delete", r, p1, port1, 0),
+                             UpdateEvent("insert", r, p2, port2 + 1, 1),
+                             UpdateEvent("move", r, p2, port2, 2)], r, dst)
+    assert state.trie.snapshot() == before
 
 
 def test_state_never_changes_the_loaded_spec():
