@@ -2,6 +2,7 @@
 """One sha256 over netvec's answers on a seeded network.
 
     PYTHONPATH=src python3 scripts/answer_digest.py --shape network --seed 7 --count 2000
+    PYTHONPATH=src python3 scripts/answer_digest.py --shape repeat --seed 7 --count 2000
     PYTHONPATH=src python3 scripts/answer_digest.py --shape repair --seed 41 --count 60
     PYTHONPATH=src python3 scripts/answer_digest.py --shape whatif --seed 7 --count 120
     PYTHONPATH=src python3 scripts/answer_digest.py --shape parse --seed 7 --count 2000
@@ -20,6 +21,11 @@ errors), paths explored, loop cycles and headers, blackhole routers and
 headers, and the number of ports each reach and blackhole query touched.
 Loop queries' touched counts are left out: whether ports after the one
 closing a cycle count depends on where a version stops scanning a router.
+
+repeat: the network shape's `--count` queries asked twice on one session,
+each pass in its own seeded shuffled order, hashing the same fields as
+network with the pass number. Answers and touched counts must not depend
+on what a session keeps from earlier queries.
 
 repair: `--count` cycles on a small network whose rewrites sit on one
 router. A cycle is one `batch_update` over churn on withheld rules plus the
@@ -131,31 +137,51 @@ def path_lines(rep) -> list[str]:
     return lines
 
 
-def network_digest(seed: int, count: int) -> str:
+def network_queries(seed: int, count: int):
+    """The network shape's root session and its `count` queries, as (kind,
+    src, dst) in asking order."""
     rng = random.Random(f"{seed}:policy")
     spec = build(seed, 60, 240, 400, 30, 12, None, rng)
     withhold(spec, rng, spec.rule_count // 50)
-    state = NetworkState.from_spec(spec)
-    session = state.session()
-    queries = random.Random(f"{seed}:queries")
+    session = NetworkState.from_spec(spec).session()
+    pairs = random.Random(f"{seed}:queries")
+    return session, [(QUERY_MIX[i % len(QUERY_MIX)], *pairs.sample(spec.routers, 2))
+                     for i in range(count)]
+
+
+def answer_lines(session, kind: str, src: str, dst: str) -> list[str]:
+    """One network-shape query's answer, with the ports it touched."""
+    session.touched = set()
+    if kind == "reach":
+        rep = verify_reachability(session, src, dst)
+        lines = [f"reach {src} {dst} {rep.paths_explored} {rep.truncated} "
+                 f"{len(session.touched)} {classes(rep.reachable)}"]
+        return lines + path_lines(rep)
+    if kind == "loop":
+        rep = detect_loop(session, src)
+        return [f"loop {src} {rep.cycle} {classes(rep.headers)}"]
+    reps = detect_blackhole(session, src)
+    return [f"blackhole {src} {len(session.touched)}"] + \
+        [f"  {r.router} {classes(r.headers)}" for r in reps]
+
+
+def network_digest(seed: int, count: int) -> str:
+    session, queries = network_queries(seed, count)
     h = hashlib.sha256()
-    for i in range(count):
-        kind = QUERY_MIX[i % len(QUERY_MIX)]
-        src, dst = queries.sample(spec.routers, 2)
-        session.touched = set()
-        if kind == "reach":
-            rep = verify_reachability(session, src, dst)
-            lines = [f"reach {src} {dst} {rep.paths_explored} {rep.truncated} "
-                     f"{len(session.touched)} {classes(rep.reachable)}"]
-            lines += path_lines(rep)
-        elif kind == "loop":
-            rep = detect_loop(session, src)
-            lines = [f"loop {src} {rep.cycle} {classes(rep.headers)}"]
-        else:
-            reps = detect_blackhole(session, src)
-            lines = [f"blackhole {src} {len(session.touched)}"]
-            lines += [f"  {r.router} {classes(r.headers)}" for r in reps]
-        h.update("\n".join(lines).encode() + b"\n")
+    for query in queries:
+        h.update("\n".join(answer_lines(session, *query)).encode() + b"\n")
+    return h.hexdigest()
+
+
+def repeat_digest(seed: int, count: int) -> str:
+    session, queries = network_queries(seed, count)
+    order = random.Random(f"{seed}:repeat")
+    h = hashlib.sha256()
+    for p in (1, 2):
+        order.shuffle(queries)
+        for query in queries:
+            h.update(f"pass {p} ".encode())
+            h.update("\n".join(answer_lines(session, *query)).encode() + b"\n")
     return h.hexdigest()
 
 
@@ -431,7 +457,7 @@ def parse_digest(seed: int, count: int) -> str:
     return h.hexdigest()
 
 
-DIGESTS = {"network": network_digest, "repair": repair_digest,
+DIGESTS = {"network": network_digest, "repeat": repeat_digest, "repair": repair_digest,
            "whatif": whatif_digest, "parse": parse_digest, "state": state_digest,
            "snapshot": snapshot_digest}
 

@@ -203,10 +203,13 @@ class VerificationSession:
     there, and extended when later visits carry classes not yet resolved.
     The chains it resolves from are snapshots, so answers describe the
     network as it was when the affected set was computed, whatever updates
-    follow. Link peers are read from the topology, which netvec never
+    follow; so do the reach trees and blackhole answers it keeps per source.
+    Link peers are read from the topology, which netvec never
     changes after load. Sessions may be queried from several threads: memo
     writers hold a lock and publish every other field before shrinking
-    ``pending``, and readers test ``pending`` first.
+    ``pending``, and readers test ``pending`` first. A reach tree node gets
+    its children in one store of a finished list, so two threads may
+    expand one node and either's (equal) children are kept.
     """
 
     def __init__(self, affected: AffectedSets, topology: Topology):
@@ -217,6 +220,11 @@ class VerificationSession:
         self.has_transforms = affected.has_transforms
         self.memo: dict[str, RouterMemo] = {}
         self.touched: set[tuple[str, int]] = set()
+        # per source, for queries that start with every class: the root of
+        # its reach tree (see `verify_reachability`) and `detect_blackhole`'s
+        # reports with the routers it entered
+        self.trees: dict[str, list] = {}
+        self.holes: dict[str, tuple[tuple[BlackholeReport, ...], frozenset[str]]] = {}
         self._lock = threading.Lock()
         self._starts: list[int] | None = None
 
@@ -390,6 +398,20 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
     pruning key is the (router, vector) pair instead, since a rewrite can
     legitimately route changed traffic back through an earlier router.
     ``max_paths`` must be at least 1 and ``max_hops`` at least 0.
+
+    The search scans `src`'s reach tree in stack order, expanding the nodes
+    no earlier query reached; it stops at `dst` nodes and builds each
+    path's report from the chain of parent hops. A node is the list
+    ``[router, incoming bits, hop, kids]``: ``kids`` is None until a query
+    expands the node, then False if `enter` lets no class through, else the
+    list of child nodes in link order. ``hop`` describes the
+    parent (None at the root): ``(parent's hop, router, b1, incoming bits,
+    path, states)``, where ``b1`` is what `enter` let through, ``path`` the
+    routers from `src` to the parent and ``states``, when the session has
+    rewrites, their ``(router, incoming bits)`` pairs. Children are pruned
+    against these, so they depend only on their ancestors and serve every
+    destination. The session keeps the tree of the default `b_init` in
+    ``session.trees``; a custom `b_init` scans a tree that is not kept.
     """
     if max_paths is not None and max_paths < 1:
         raise InfeasibleParameters(f"max_paths must be >= 1, got {max_paths}")
@@ -403,45 +425,52 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
             reachable=session.decode(start), per_path=(PathResult((src,), vector, ()),),
             total_paths=1, paths_explored=1, truncated=False,
             reachable_vector=vector)
+    full = start == (1 << m) - 1
+    root = session.trees.get(src) if full else None
+    if root is None:
+        root = [src, start, None, None]
+        if full:
+            root = session.trees.setdefault(src, root)
 
     enter = session.enter
-    entered: dict[str, frozenset] = {}      # router -> its memo's keys at the last entry
     by_state = session.has_transforms
-
+    entered: set[str] = set()
     per_path: list[PathResult] = []
     truncated = False
     explored = 0
-    # entries: router, incoming bits, routers before it, visited states, and
-    # the hop into it as (previous hop, router, live bits, bits sent on)
-    stack = [(src, start, (), (), None)]
+    stack = [root]
     while stack:
-        r, bits, path, states, hop = stack.pop()
+        node = stack.pop()
         explored += 1
+        r, bits, hop, kids = node
         if r == dst:
-            per_path.append(PathResult(path + (r,), StateVector(bits, m), _hop_errors(hop)))
+            per_path.append(PathResult(hop[4] + (r,), StateVector(bits, m),
+                                       _hop_errors(hop, bits)))
             if max_paths is not None and len(per_path) >= max_paths:
                 truncated = True
                 break
             continue
-        if max_hops is not None and len(path) >= max_hops:
+        if max_hops is not None and (len(hop[4]) if hop else 0) >= max_hops:
             truncated = True
             continue
-        e, b1 = enter(r, bits)
-        if b1 == 0:
-            continue
-        entered[r] = e.keys
-        links = e.split(b1)
-        if not links:
-            continue
-        new_path = path + (r,)
-        new_states = states + ((r, bits),) if by_state else ()
-        for out, nr in links:
-            if by_state:
-                if (nr, out) in new_states:
-                    continue
-            elif nr in new_path:
-                continue
-            stack.append((nr, out, new_path, new_states, (hop, r, b1, out)))
+        if kids is None:
+            e, b1 = enter(r, bits)
+            if b1:
+                kids = []
+                links = e.split(b1)
+                if links:
+                    path = (hop[4] if hop else ()) + (r,)
+                    states = (hop[5] if hop else ()) + ((r, bits),) if by_state else ()
+                    up = (hop, r, b1, bits, path, states)
+                    for out, nr in links:
+                        if ((nr, out) not in states) if by_state else (nr not in path):
+                            kids.append([nr, out, up, None])
+            else:
+                kids = False
+            node[3] = kids          # stored whole; racing threads store equal lists
+        if kids is not False:
+            entered.add(r)
+            stack += kids
     _add_touched(session, entered)
 
     union = 0
@@ -457,22 +486,25 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
     )
 
 
-def _add_touched(session: VerificationSession, entered: dict[str, frozenset]) -> None:
-    """Add the ports of every router a query entered to ``session.touched``,
-    once per router: a memo's keys only grow, so the last keys seen at a
-    router hold all the earlier ones."""
+def _add_touched(session: VerificationSession, routers) -> None:
+    """Add the ports of each router a query entered to ``session.touched``,
+    from the router's memo as it is now: a memo's keys only grow, and the
+    query resolved the router for every class it brought there."""
+    memo = session.memo
     touched = session.touched
-    for keys in entered.values():
-        touched |= keys
+    for r in routers:
+        touched |= memo[r].keys
 
 
-def _hop_errors(hop) -> tuple[tuple[str, float], ...]:
-    """Per-hop projection errors along a chain of hop records, first hop
-    first: the l2 norm of the live classes a router did not send on."""
+def _hop_errors(hop, out: int) -> tuple[tuple[str, float], ...]:
+    """Per-hop projection errors along the chain of parent hops `hop` above
+    a node that arrived with `out`, first hop first: the l2 norm of the
+    live classes a router did not send on."""
     errs = ()
     while hop is not None:
-        hop, r, b1, out = hop
+        hop, r, b1, bits, _, _ = hop
         errs = ((r, math.sqrt((b1 ^ out).bit_count())),) + errs
+        out = bits
     return errs
 
 
@@ -488,7 +520,7 @@ def detect_loop(session: VerificationSession, src: str,
     """
     start = _start_bits(session, (src,), b_init)
     enter = session.enter
-    entered: dict[str, frozenset] = {}
+    entered: set[str] = set()
     stack = [(src, start, ())]
     while stack:
         r, bits, path = stack.pop()
@@ -496,7 +528,7 @@ def detect_loop(session: VerificationSession, src: str,
         if b1 == 0:
             continue
         new_path = path + (r,)
-        entered[r] = e.keys
+        entered.add(r)
         for out, nr in e.split(b1):
             if nr in new_path:
                 _add_touched(session, entered)
@@ -517,11 +549,27 @@ def detect_blackhole(session: VerificationSession, src: str,
     its peers have not seen yet, so cyclic networks terminate. `enter` and
     the projection distribute over OR, so this equals exploring every
     reachable (router, vector) state. Reports, per router, the classes that
-    arrive but match no forwarding rule there.
+    arrive but match no forwarding rule there. The session keeps the answer
+    for the default `b_init` in ``session.holes``; each call returns a new
+    list of its reports.
     """
     start = _start_bits(session, (src,), b_init)
+    full = start == (1 << session.m) - 1
+    answer = session.holes.get(src) if full else None
+    if answer is None:
+        answer = _blackholes(session, src, start)
+        if full:
+            session.holes[src] = answer
+    reports, entered = answer
+    _add_touched(session, entered)
+    return list(reports)
+
+
+def _blackholes(session: VerificationSession, src: str, start: int
+                ) -> tuple[tuple[BlackholeReport, ...], frozenset[str]]:
+    """`detect_blackhole`'s reports from `start`, and the routers it entered."""
     enter = session.enter
-    entered: dict[str, frozenset] = {}
+    entered: set[str] = set()
     holes: dict[str, int] = {}
     arrived = {src: start}
     waiting = {src: start}                  # router -> classes not yet processed
@@ -531,7 +579,7 @@ def detect_blackhole(session: VerificationSession, src: str,
         e, b1 = enter(r, waiting.pop(r))
         if b1 == 0:
             continue
-        entered[r] = e.keys
+        entered.add(r)
         dropped = b1 & e.dropped
         if dropped:
             holes[r] = holes.get(r, 0) | dropped
@@ -545,9 +593,9 @@ def detect_blackhole(session: VerificationSession, src: str,
                 else:
                     waiting[nr] = new
                     queue.append(nr)
-    _add_touched(session, entered)
-    return [BlackholeReport(router=r, headers=session.decode(bits))
-            for r, bits in sorted(holes.items())]
+    reports = tuple(BlackholeReport(router=r, headers=session.decode(bits))
+                    for r, bits in sorted(holes.items()))
+    return reports, frozenset(entered)
 
 
 def check_policy(report: ReachabilityReport, max_path_len: int | None = None,

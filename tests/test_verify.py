@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 import sys
 import threading
@@ -439,6 +440,190 @@ def test_concurrent_queries_match_serial_answers():
         assert (memo.xform is None) == (again.xform is None)
         if memo.xform is not None:
             assert memo.xform.columns == again.xform.columns
+
+
+def _dfs_reach(session, src, dst, start, max_paths=None, max_hops=None):
+    """Reachability by a depth-first search that keeps nothing between
+    queries: each stack entry carries its path, its visited states and a
+    chain of hop records. The reference a session's reach trees must equal,
+    ``session.touched`` included; reports as `_reach_answer`."""
+    m, by_state = session.m, session.has_transforms
+    entered, per_path, truncated, explored = {}, [], False, 0
+    stack = [(src, start, (), (), None)]
+    while stack:
+        r, bits, path, states, hop = stack.pop()
+        explored += 1
+        if r == dst:
+            errs, h = (), hop
+            while h is not None:
+                h, hr, b1, out = h
+                errs = ((hr, math.sqrt((b1 ^ out).bit_count())),) + errs
+            per_path.append((path + (r,), bits, errs))
+            if max_paths is not None and len(per_path) >= max_paths:
+                truncated = True
+                break
+            continue
+        if max_hops is not None and len(path) >= max_hops:
+            truncated = True
+            continue
+        e, b1 = session.enter(r, bits)
+        if b1 == 0:
+            continue
+        entered[r] = e.keys
+        new_path = path + (r,)
+        new_states = states + ((r, bits),) if by_state else ()
+        for out, nr in e.split(b1):
+            if (nr, out) in new_states if by_state else nr in new_path:
+                continue
+            stack.append((nr, out, new_path, new_states, (hop, r, b1, out)))
+    for keys in entered.values():
+        session.touched |= keys
+    union = 0
+    for _, bits, _ in per_path:
+        union |= bits
+    return (session.decode(union), explored, truncated, per_path)
+
+
+def _memo_networks(seeds):
+    """Seeded small networks with ACL entries, rewrites, rule gaps and back
+    edges (some seeds without rewrites, so paths prune by router)."""
+    for seed in seeds:
+        yield seed, random_small_network(seed, gap_fraction=0.2, back_edges=1 + seed % 3,
+                                         n_acls=3, n_transforms=seed % 3)
+
+
+def _memo_queries(spec, m, rng, count):
+    """Reach queries with and without `max_paths`, `max_hops` and a custom
+    `b_init` (all classes included), and blackhole queries."""
+    queries = []
+    for _ in range(count):
+        a, b = rng.sample(spec.routers, 2)
+        kind = rng.choice(("reach", "reach", "paths", "hops", "b_init", "blackhole"))
+        if kind == "reach":
+            queries.append(("reach", a, b, None, {}))
+        elif kind == "paths":
+            queries.append(("reach", a, b, None, {"max_paths": rng.randint(1, 3)}))
+        elif kind == "hops":
+            queries.append(("reach", a, b, None, {"max_hops": rng.randint(0, 4)}))
+        elif kind == "b_init":
+            bits = rng.choice((rng.getrandbits(m), (1 << m) - 1))
+            queries.append(("reach", a, b, bits, {}))
+        else:
+            queries.append(("blackhole", a, None, rng.choice((None, rng.getrandbits(m))), {}))
+    return queries
+
+
+def _ask(session, query):
+    kind, src, dst, bits, opts = query
+    b_init = None if bits is None else StateVector(bits, session.m)
+    if kind == "reach":
+        return verify_reachability(session, src, dst, b_init, **opts)
+    return detect_blackhole(session, src, b_init)
+
+
+def test_one_session_answers_like_a_fresh_session_per_query():
+    """A session asked a shuffled, repeated mix of queries answers each one
+    as a fresh session does, and as the search that keeps nothing between
+    queries does on a twin session with the same history (which fixes
+    ``touched``: a router's ports depend on the classes earlier queries
+    resolved there)."""
+    asked = warm = 0
+    for seed, spec in _memo_networks(range(12)):
+        state = NetworkState.from_spec(spec)
+        shared, twin = state.session(), state.session()
+        m = shared.m
+        rng = random.Random(seed)
+        queries = _memo_queries(spec, m, rng, 30)
+        order = list(range(len(queries))) * 3
+        rng.shuffle(order)
+        seen = set()
+        for i in order:
+            query = queries[i]
+            kind, src, dst, bits, opts = query
+            fresh = state.session()
+            shared.touched, twin.touched = set(), set()
+            got = _ask(shared, query)
+            assert got == _ask(fresh, query), (seed, query)
+            if kind == "reach":
+                start = (1 << m) - 1 if bits is None else bits
+                assert _reach_answer(got) == _dfs_reach(twin, src, dst, start, **opts), \
+                    (seed, query)
+            else:
+                again = _ask(twin, query)
+                assert again == got, (seed, query)
+                got.append(got[0] if got else None)        # the caller owns the list
+                got.reverse()
+                assert _ask(shared, query) == again, (seed, query)
+            assert shared.touched == twin.touched, (seed, query)
+            asked += 1
+            warm += i in seen
+            seen.add(i)
+        # only queries that start with every class keep what they found
+        for kept, kind in ((shared.trees, "reach"), (shared.holes, "blackhole")):
+            assert set(kept) == {q[1] for q in queries
+                                 if q[0] == kind and q[3] in (None, (1 << m) - 1)}, seed
+    assert asked > 1000 and warm > 500
+
+
+def test_warm_queries_enter_no_router():
+    """Once a source's tree covers every destination and its blackhole
+    answer is kept, its queries resolve nothing and call `enter` not once."""
+    for seed, spec in _memo_networks(range(6)):
+        state = NetworkState.from_spec(spec)
+        session = state.session()
+        src = spec.routers[0]
+        cold = {dst: verify_reachability(session, src, dst) for dst in spec.routers}
+        holes = detect_blackhole(session, src)
+        calls = []
+        enter = session.enter
+        session.enter = lambda r, bits: calls.append(r) or enter(r, bits)
+        for dst in reversed(spec.routers):
+            assert verify_reachability(session, src, dst) == cold[dst], seed
+        assert detect_blackhole(session, src) == holes, seed
+        assert calls == [], seed
+
+
+def test_concurrent_queries_share_source_trees():
+    """On each of 100 fresh sessions, eight threads ask the same default
+    queries in the same order, so they expand the same tree nodes and fill
+    the same blackhole answers at once; every answer equals the serial one."""
+    spec = random_small_network(5, max_nodes=16, gap_fraction=0.1, back_edges=2,
+                                n_acls=2, n_transforms=1)
+    state = NetworkState.from_spec(spec)
+    sources = spec.routers[:4]
+    work = [(a, b) for a in sources for b in spec.routers if a != b]
+    serial = state.session()
+    want_reach = {q: verify_reachability(serial, *q) for q in work}
+    want_holes = {a: detect_blackhole(serial, a) for a in sources}
+    assert sum(r.paths_explored for r in want_reach.values()) > 200
+    errors = []
+
+    def worker(session, barrier, order):
+        barrier.wait(timeout=60)
+        for a, b in order:
+            if verify_reachability(session, a, b) != want_reach[(a, b)]:
+                errors.append((a, b))
+            if detect_blackhole(session, a) != want_holes[a]:
+                errors.append(a)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k in range(100):
+            shared = state.session()
+            barrier = threading.Barrier(8)
+            order = list(work)              # one order for all, so they race on every node
+            random.Random(k).shuffle(order)
+            threads = [threading.Thread(target=worker, args=(shared, barrier, order))
+                       for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
 
 
 def test_memo_publishes_fields_before_pending_shrinks(monkeypatch):
