@@ -3,6 +3,7 @@
 
     PYTHONPATH=src python3 scripts/answer_digest.py --shape network --seed 7 --count 2000
     PYTHONPATH=src python3 scripts/answer_digest.py --shape repeat --seed 7 --count 2000
+    PYTHONPATH=src python3 scripts/answer_digest.py --shape accumulate --seed 7 --count 2000
     PYTHONPATH=src python3 scripts/answer_digest.py --shape repair --seed 41 --count 60
     PYTHONPATH=src python3 scripts/answer_digest.py --shape whatif --seed 7 --count 120
     PYTHONPATH=src python3 scripts/answer_digest.py --shape parse --seed 7 --count 2000
@@ -26,6 +27,12 @@ repeat: the network shape's `--count` queries asked twice on one session,
 each pass in its own seeded shuffled order, hashing the same fields as
 network with the pass number. Answers and touched counts must not depend
 on what a session keeps from earlier queries.
+
+accumulate: the network shape's `--count` queries on one session whose
+`touched` set is never reset, hashing the same answer lines as network
+(the per-query counts read the grown set) and `len(session.touched)` after
+each answer, loop queries included. The set only grows, and each query
+adds the ports of every router it entered as its memo holds them then.
 
 repair: `--count` cycles on a small network whose rewrites sit on one
 router. A cycle is one `batch_update` over churn on withheld rules plus the
@@ -150,8 +157,8 @@ def network_queries(seed: int, count: int):
 
 
 def answer_lines(session, kind: str, src: str, dst: str) -> list[str]:
-    """One network-shape query's answer, with the ports it touched."""
-    session.touched = set()
+    """One network-shape query's answer, with the size of `session.touched`
+    after it (the ports the query touched, when the set was fresh)."""
     if kind == "reach":
         rep = verify_reachability(session, src, dst)
         lines = [f"reach {src} {dst} {rep.paths_explored} {rep.truncated} "
@@ -169,7 +176,17 @@ def network_digest(seed: int, count: int) -> str:
     session, queries = network_queries(seed, count)
     h = hashlib.sha256()
     for query in queries:
+        session.touched = set()
         h.update("\n".join(answer_lines(session, *query)).encode() + b"\n")
+    return h.hexdigest()
+
+
+def accumulate_digest(seed: int, count: int) -> str:
+    session, queries = network_queries(seed, count)
+    h = hashlib.sha256()
+    for query in queries:
+        lines = answer_lines(session, *query) + [f"touched {len(session.touched)}"]
+        h.update("\n".join(lines).encode() + b"\n")
     return h.hexdigest()
 
 
@@ -181,6 +198,7 @@ def repeat_digest(seed: int, count: int) -> str:
         order.shuffle(queries)
         for query in queries:
             h.update(f"pass {p} ".encode())
+            session.touched = set()
             h.update("\n".join(answer_lines(session, *query)).encode() + b"\n")
     return h.hexdigest()
 
@@ -457,7 +475,8 @@ def parse_digest(seed: int, count: int) -> str:
     return h.hexdigest()
 
 
-DIGESTS = {"network": network_digest, "repeat": repeat_digest, "repair": repair_digest,
+DIGESTS = {"network": network_digest, "repeat": repeat_digest,
+           "accumulate": accumulate_digest, "repair": repair_digest,
            "whatif": whatif_digest, "parse": parse_digest, "state": state_digest,
            "snapshot": snapshot_digest}
 

@@ -139,7 +139,8 @@ class RouterMemo:
     cover every resolved class and only grow. ``by_port`` maps each port to
     its mask in ascending port order and ``keys`` holds the ``(router,
     port)`` pairs of every port, which a query adds to the session's
-    ``touched`` set once for each router it entered. `split` reads the port
+    ``touched`` set for each router it entered; `_extend` replaces it with
+    a new frozenset whenever it adds a port. `split` reads the port
     index: ``port_of[j]`` is resolved class j's port, or -1 when no rule
     matches it, ``groups`` maps each linked port to its ``(mask,
     peer_router)``, ``linked`` is the OR of those masks and ``dropped`` the
@@ -210,6 +211,12 @@ class VerificationSession:
     ``pending``, and readers test ``pending`` first. A reach tree node gets
     its children in one store of a finished list, so two threads may
     expand one node and either's (equal) children are kept.
+
+    ``touched`` holds the ``(router, port)`` pairs of every router a query
+    entered and only grows. To count one query's ports, assign a fresh set
+    before it (as `perfbench` and `scripts/answer_digest.py` do); clearing
+    the set or removing from it in place is not supported, since queries
+    skip routers whose ports are already recorded as in it.
     """
 
     def __init__(self, affected: AffectedSets, topology: Topology):
@@ -227,6 +234,9 @@ class VerificationSession:
         self.holes: dict[str, tuple[tuple[BlackholeReport, ...], frozenset[str]]] = {}
         self._lock = threading.Lock()
         self._starts: list[int] | None = None
+        # `_add_touched`'s record: the `touched` set it was made for and,
+        # per router, the memo keys already in it
+        self._merged: tuple[set | None, dict[str, frozenset] | None] = (None, None)
 
     def resolve(self, router: str, bits: int) -> RouterMemo:
         """The router's memo, extended to cover the classes in `bits`."""
@@ -489,11 +499,31 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
 def _add_touched(session: VerificationSession, routers) -> None:
     """Add the ports of each router a query entered to ``session.touched``,
     from the router's memo as it is now: a memo's keys only grow, and the
-    query resolved the router for every class it brought there."""
+    query resolved the router for every class it brought there.
+
+    ``touched`` only grows. ``session._merged`` records the set it was made
+    for and, per router, the ``keys`` frozenset already ORed into that set;
+    `_extend` replaces a memo's keys whenever it adds a port, so a router
+    whose keys are the recorded object has nothing to add. Assigning a
+    fresh set (as `perfbench` and `scripts/answer_digest.py` do to count
+    one query's ports) starts a new record; clearing the set or removing
+    from it in place is not supported. The record is one tuple, read once,
+    so a thread never pairs one set with another set's record, and a key
+    is recorded only after its ports are in the set. Threads racing to
+    start a record may lose each other's entries, which costs a merge
+    again, never a port.
+    """
     memo = session.memo
     touched = session.touched
+    owner, merged = session._merged
+    if owner is not touched:
+        merged = {}
+        session._merged = (touched, merged)
     for r in routers:
-        touched |= memo[r].keys
+        keys = memo[r].keys
+        if merged.get(r) is not keys:
+            touched |= keys
+            merged[r] = keys
 
 
 def _hop_errors(hop, out: int) -> tuple[tuple[str, float], ...]:

@@ -518,6 +518,8 @@ def _ask(session, query):
     b_init = None if bits is None else StateVector(bits, session.m)
     if kind == "reach":
         return verify_reachability(session, src, dst, b_init, **opts)
+    if kind == "loop":
+        return detect_loop(session, src, b_init)
     return detect_blackhole(session, src, b_init)
 
 
@@ -565,6 +567,47 @@ def test_one_session_answers_like_a_fresh_session_per_query():
     assert asked > 1000 and warm > 500
 
 
+def _merge_every_router(session, routers):
+    """`_add_touched` without a record: every entered router's ports are
+    ORed into ``touched`` on every query."""
+    for r in routers:
+        session.touched |= session.memo[r].keys
+
+
+def test_touched_accumulates_like_a_merge_on_every_query(monkeypatch):
+    """One ``touched`` set kept across a shuffled, repeated mix of reach,
+    loop and blackhole queries (and a `fwd_vectors` read part-way, which
+    grows memo keys outside any query) equals, after every query, the set a
+    twin session gets when every entered router's ports are merged again."""
+    import netvec.verify as V
+
+    grew = 0
+    for seed, spec in _memo_networks(range(12)):
+        state = NetworkState.from_spec(spec)
+        shared, twin = state.session(), state.session()
+        m = shared.m
+        rng = random.Random(seed)
+        queries = _memo_queries(spec, m, rng, 30)
+        queries += [("loop", a, None, rng.choice((None, rng.getrandbits(m))), {})
+                    for a in rng.sample(spec.routers, 4)]
+        order = list(range(len(queries))) * 3
+        rng.shuffle(order)
+        touched = shared.touched
+        for n, i in enumerate(order):
+            if n == len(order) // 2:
+                assert shared.fwd_vectors == twin.fwd_vectors, seed
+            query = queries[i]
+            before = len(touched)
+            got = _ask(shared, query)
+            with monkeypatch.context() as patch:
+                patch.setattr(V, "_add_touched", _merge_every_router)
+                assert _ask(twin, query) == got, (seed, query)
+            assert shared.touched is touched
+            assert touched == twin.touched, (seed, n, query)
+            grew += len(touched) > before > 0
+    assert grew > 20
+
+
 def test_warm_queries_enter_no_router():
     """Once a source's tree covers every destination and its blackhole
     answer is kept, its queries resolve nothing and call `enter` not once."""
@@ -586,15 +629,23 @@ def test_warm_queries_enter_no_router():
 def test_concurrent_queries_share_source_trees():
     """On each of 100 fresh sessions, eight threads ask the same default
     queries in the same order, so they expand the same tree nodes and fill
-    the same blackhole answers at once; every answer equals the serial one."""
+    the same blackhole answers at once; every answer equals the serial one.
+    The threads also merge into one ``touched`` set at once: after one more
+    serial pass over the queries it equals the set of a serial session that
+    asked them twice."""
     spec = random_small_network(5, max_nodes=16, gap_fraction=0.1, back_edges=2,
                                 n_acls=2, n_transforms=1)
     state = NetworkState.from_spec(spec)
     sources = spec.routers[:4]
     work = [(a, b) for a in sources for b in spec.routers if a != b]
+
+    def ask_all(session, order):
+        return ({q: verify_reachability(session, *q) for q in order},
+                {a: detect_blackhole(session, a) for a, _ in order})
+
     serial = state.session()
-    want_reach = {q: verify_reachability(serial, *q) for q in work}
-    want_holes = {a: detect_blackhole(serial, a) for a in sources}
+    want_reach, want_holes = ask_all(serial, work)
+    ask_all(serial, work)
     assert sum(r.paths_explored for r in want_reach.values()) > 200
     errors = []
 
@@ -621,6 +672,11 @@ def test_concurrent_queries_share_source_trees():
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
+            touched = shared.touched
+            ask_all(shared, order)
+            assert shared.touched is touched
+            if touched != serial.touched:
+                errors.append(("touched", k))
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
