@@ -22,7 +22,9 @@ the tree that goes first alternates, so drift in the machine's speed
 falls on both alike.
 
 Prints, per workload and kind, each tree's p50 and p90 in microseconds
-and the second tree's p50 and p90 over the first's.
+and the second tree's p50 and p90 over the first's. Each workload's `all`
+row pools every kind, as the benchmark's `op_latency_ms` pools a run's
+operations; unlike the benchmark, it keeps the cold queries.
 """
 
 from __future__ import annotations
@@ -145,8 +147,11 @@ def main(argv=None) -> None:
             t.times = {}
         run(trees, args.seed, args.count)
         old, new = (t.times for t in trees)
-        for kind in old:
-            a, b = sorted(old[kind]), sorted(new[kind])
+        rows = [(kind, old[kind], new[kind]) for kind in old]
+        rows.append(("all", [ns for _, a, _ in rows for ns in a],
+                     [ns for _, _, b in rows for ns in b]))
+        for kind, a, b in rows:
+            a, b = sorted(a), sorted(b)
             p = [percentile(s, q) / 1000 for q in (50.0, 90.0) for s in (a, b)]
             print(f"{name:14} {kind:14} {len(a):5d} {p[0]:9.1f} {p[1]:9.1f} "
                   f"{p[2]:9.1f} {p[3]:9.1f} {p[1] / p[0]:6.3f} {p[3] / p[2]:6.3f}")

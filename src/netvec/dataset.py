@@ -29,6 +29,7 @@ from .errors import DuplicateEdge, InfeasibleParameters, ParseError
 from .prefixes import Prefix, format_prefix, parse_prefix
 
 DEFAULT_MASK_DISTRIBUTION = {8: 1, 12: 2, 16: 4, 20: 6, 24: 12}
+MAX_WIDTH = 128     # widest header a network file may declare
 
 
 @dataclass
@@ -161,8 +162,8 @@ def parse_network(text: str) -> NetworkSpec:
         if len(parts) != 2:
             err(lineno, "WIDTH takes one argument")
         width = _int_at(lineno, parts[1], "width")
-        if width < 1 or width > 128:
-            err(lineno, f"width {width} outside [1, 128]")
+        if not 1 <= width <= MAX_WIDTH:
+            err(lineno, f"width {width} outside [1, {MAX_WIDTH}]")
         break
     else:
         return NetworkSpec(width=32)
@@ -308,6 +309,8 @@ def generate_synthetic(nodes: int, edges: int, rules_per_node: int,
     next-hop rule per prefix along a BFS shortest path, and each home router
     delivers its own prefixes on a host-facing port. Deterministic per seed.
     """
+    if not 1 <= width <= MAX_WIDTH:
+        raise InfeasibleParameters(f"width {width} outside [1, {MAX_WIDTH}]")
     if nodes < 1:
         raise InfeasibleParameters("need at least one node")
     if nodes > 1 and edges < nodes - 1:

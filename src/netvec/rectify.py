@@ -141,9 +141,13 @@ def rectify(state: NetworkState, src: str, dst: str, intent: set[Prefix]
     covers the blocked set minus whatever the router already forwards, so
     candidate headers per router are bounded by the class count; a
     candidate's fixes are committed only when they deliver new classes to
-    the destination. Raises RectificationImpossible when no intent class is
-    reachable and no non-interfering fix exists.
+    the destination. Raises UnknownRouter for an unknown `src` or `dst`
+    before looking at the intent, and RectificationImpossible when no
+    intent class is reachable and no non-interfering fix exists.
     """
+    for r in (src, dst):
+        if r not in state.topology.peers:
+            raise UnknownRouter(r)
     session = state.session()
     intent_bits = session.query_vector(intent).bits
     if intent_bits == 0:

@@ -14,7 +14,8 @@ import bisect
 import math
 import threading
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from .dataset import NetworkSpec, UpdateEvent
 from .errors import (AlignmentDiverged, DimensionMismatch, InfeasibleParameters,
@@ -59,20 +60,59 @@ class PathResult:
     per_hop_errors: tuple[tuple[str, float], ...]
 
 
+class _Decoded:
+    """A report's class set: the mask at attribute path `mask`, decoded
+    against the report's ``classes`` (the session's) the first time the set
+    is read, then kept on the report.
+
+    Not a data descriptor, so once the set is in the report's ``__dict__``
+    reads find it there without calling back here. Threads racing on a
+    first read may each decode; ``setdefault`` hands every one of them the
+    set stored first. No lock is taken.
+    """
+
+    def __init__(self, mask: str):
+        self.mask = attrgetter(mask)        # report -> int
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return self
+        return report.__dict__.setdefault(
+            self.name, _decode(report.classes, self.mask(report)))
+
+
 @dataclass(frozen=True)
 class ReachabilityReport:
-    reachable: frozenset[Prefix]
+    """What `verify_reachability` found from `src` to `dst`.
+
+    ``reachable_vector`` is the answer as the paper states it: the classes
+    that arrive, as the vector b over the session's ``classes``.
+    ``reachable`` is the same answer as a set of class prefixes, decoded
+    from the vector the first time it is read.
+    """
     per_path: tuple[PathResult, ...]
     total_paths: int
     paths_explored: int
     truncated: bool
     reachable_vector: StateVector
+    classes: tuple[Prefix, ...] = field(repr=False)
+
+    reachable = _Decoded("reachable_vector.bits")
 
 
 @dataclass(frozen=True)
 class LoopReport:
+    """The first cycle `detect_loop` confirmed, or None; ``mask`` holds the
+    classes still live where the cycle closed (0 without a cycle), and
+    ``headers`` is that mask decoded on first read."""
     cycle: tuple[str, ...] | None
-    headers: frozenset[Prefix]
+    mask: int
+    classes: tuple[Prefix, ...] = field(repr=False)
+
+    headers = _Decoded("mask")
 
     @property
     def found(self) -> bool:
@@ -81,8 +121,13 @@ class LoopReport:
 
 @dataclass(frozen=True)
 class BlackholeReport:
+    """The classes that reach `router` and match no rule there: ``mask``
+    over the session's ``classes``, and ``headers`` decoded on first read."""
     router: str
-    headers: frozenset[Prefix]
+    mask: int
+    classes: tuple[Prefix, ...] = field(repr=False)
+
+    headers = _Decoded("mask")
 
 
 @dataclass(frozen=True)
@@ -378,7 +423,13 @@ class VerificationSession:
         return StateVector(bits, self.m)
 
     def decode(self, bits: int) -> frozenset[Prefix]:
-        return frozenset(map(self.classes.__getitem__, _set_bits(bits)))
+        """The classes of `bits`, as prefixes."""
+        return _decode(self.classes, bits)
+
+
+def _decode(classes: tuple[Prefix, ...], bits: int) -> frozenset[Prefix]:
+    """`VerificationSession.decode`, which reports also call on first read."""
+    return frozenset(map(classes.__getitem__, _set_bits(bits)))
 
 
 # ----------------------------------------------------------------------
@@ -432,9 +483,9 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
     if src == dst:
         vector = StateVector(start, m)
         return ReachabilityReport(
-            reachable=session.decode(start), per_path=(PathResult((src,), vector, ()),),
-            total_paths=1, paths_explored=1, truncated=False,
-            reachable_vector=vector)
+            per_path=(PathResult((src,), vector, ()),), total_paths=1,
+            paths_explored=1, truncated=False, reachable_vector=vector,
+            classes=session.classes)
     full = start == (1 << m) - 1
     root = session.trees.get(src) if full else None
     if root is None:
@@ -487,12 +538,12 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
     for res in per_path:
         union |= res.b_final.bits
     return ReachabilityReport(
-        reachable=session.decode(union),
         per_path=tuple(per_path),
         total_paths=len(per_path),
         paths_explored=explored,
         truncated=truncated,
         reachable_vector=StateVector(union, m),
+        classes=session.classes,
     )
 
 
@@ -563,10 +614,10 @@ def detect_loop(session: VerificationSession, src: str,
             if nr in new_path:
                 _add_touched(session, entered)
                 cycle = new_path[new_path.index(nr):]
-                return LoopReport(cycle=cycle, headers=session.decode(out))
+                return LoopReport(cycle=cycle, mask=out, classes=session.classes)
             stack.append((nr, out, new_path))
     _add_touched(session, entered)
-    return LoopReport(cycle=None, headers=frozenset())
+    return LoopReport(cycle=None, mask=0, classes=session.classes)
 
 
 def detect_blackhole(session: VerificationSession, src: str,
@@ -623,7 +674,8 @@ def _blackholes(session: VerificationSession, src: str, start: int
                 else:
                     waiting[nr] = new
                     queue.append(nr)
-    reports = tuple(BlackholeReport(router=r, headers=session.decode(bits))
+    classes = session.classes
+    reports = tuple(BlackholeReport(router=r, mask=bits, classes=classes)
                     for r, bits in sorted(holes.items()))
     return reports, frozenset(entered)
 

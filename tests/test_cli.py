@@ -145,6 +145,14 @@ def test_rectify(rect_file, capsys):
     assert payload["achieved"] == ["01/2"]
 
 
+def test_rectify_unknown_router_exits_2(rect_file, capsys):
+    # 11/2 matches no class of the network, which must not hide the router
+    code, out, err = run(capsys, "rectify", rect_file, "--src", "nope",
+                         "--dst", "R", "--intent", "11/2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: UnknownRouter: nope")
+
+
 def test_bench(toy_file, tmp_path, capsys):
     stream = tmp_path / "updates.txt"
     stream.write_text("+ Q 00/2 0\n- Q 00/2 0\n", encoding="utf-8")
@@ -183,6 +191,24 @@ def test_gen_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "load", str(out_file), "--json")
     payload = json.loads(out)
     assert payload["routers"] == 6 and payload["rules"] == 24
+
+
+def test_gen_widest_roundtrip(tmp_path, capsys):
+    out_file = tmp_path / "gen.net"
+    code, _, _ = run(capsys, "gen", "--nodes", "3", "--edges", "2",
+                     "--width", "128", "--out", str(out_file))
+    assert code == 0
+    code, out, _ = run(capsys, "load", str(out_file), "--json")
+    assert code == 0 and json.loads(out)["width"] == 128
+
+
+@pytest.mark.parametrize("width", ["0", "129"])
+def test_gen_width_out_of_range_exits_2(tmp_path, capsys, width):
+    out_file = tmp_path / "gen.net"
+    code, _, err = run(capsys, "gen", "--nodes", "3", "--edges", "2",
+                       "--width", width, "--out", str(out_file))
+    assert code == 2 and f"width {width} outside [1, 128]" in err
+    assert not out_file.exists()
 
 
 def test_gen_json_summary(tmp_path, capsys):

@@ -277,6 +277,9 @@ def test_generate_infeasible():
         generate_synthetic(3, 4, 1)
     with pytest.raises(InfeasibleParameters):
         generate_synthetic(2, 1, 0)
+    for width in (0, 129):
+        with pytest.raises(InfeasibleParameters, match="width"):
+            generate_synthetic(3, 2, 1, width=width)
 
 
 def test_generate_shortest_path_tables():

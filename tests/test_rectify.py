@@ -3,7 +3,8 @@ import random
 import pytest
 
 from netvec.dataset import UpdateEvent, parse_network
-from netvec.errors import NoPath, PbrProtected, RectificationImpossible
+from netvec.errors import (NoPath, PbrProtected, RectificationImpossible,
+                           UnknownRouter)
 from netvec.oracle import simulate_all
 from netvec.prefixes import Prefix
 from netvec.rectify import apply_fixes, cover_classes, path_quality, rectify
@@ -129,6 +130,17 @@ def test_rectify_impossible_when_everything_owned():
     state = NetworkState.from_spec(spec)
     with pytest.raises(RectificationImpossible):
         rectify(state, "A", "R", {Prefix(0, 0)})
+
+
+@pytest.mark.parametrize("src, dst", [("nope", "R"), ("Y", "nope")])
+def test_rectify_unknown_router_before_intent(src, dst):
+    # an intent that matches no class (1/1 is one class) must not hide an
+    # unknown router
+    state = toy_state()
+    with pytest.raises(UnknownRouter, match="nope"):
+        rectify(state, src, dst, {pfx("11/2")})
+    with pytest.raises(UnknownRouter, match="nope"):
+        rectify(state, src, dst, {pfx("000/3")})
 
 
 def test_rectify_restores_broken_rule_and_does_not_interfere():

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import threading
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,9 +18,9 @@ from netvec.prefixes import Prefix
 from netvec import trie as trie_module
 from netvec.trie import LOG_SLACK, HeaderTrie, chain_port
 from netvec.vectors import StateVector
-from netvec.verify import (NetworkState, Topology, batch_update, check_policy,
-                           detect_blackhole, detect_loop, verify_reachability,
-                           whatif_link_down)
+from netvec.verify import (NetworkState, ReachabilityReport, Topology, batch_update,
+                           check_policy, detect_blackhole, detect_loop,
+                           verify_reachability, whatif_link_down)
 
 from conftest import (PBR_NETWORK, TOY_NETWORK, headers_of, naive_lpm, pfx,
                       random_small_network)
@@ -705,6 +706,120 @@ def test_memo_publishes_fields_before_pending_shrinks(monkeypatch):
         assert {"by_port", "keys", "groups", "linked", "dropped", "union"} <= \
             set(writes[:-1]), writes
     assert session.memo["Y"].pending == 0
+
+
+# ----------------------------------------------------------------------
+# reports keep their masks and decode their class sets on first read
+
+def _lazy_spec(seed):
+    return random_small_network(seed, gap_fraction=0.2, back_edges=2, n_acls=3,
+                                n_transforms=3)
+
+
+def test_report_sets_equal_the_decode_of_their_masks():
+    nonempty = {"reach": 0, "loop": 0, "blackhole": 0}
+    for seed in range(12):
+        spec = _lazy_spec(seed)
+        session = NetworkState.from_spec(spec).session()
+        decode = session.decode
+        for src in spec.routers[:5]:
+            for dst in spec.routers[-5:] + [src]:
+                rep = verify_reachability(session, src, dst)
+                assert rep.reachable == decode(rep.reachable_vector.bits), (seed, src, dst)
+                nonempty["reach"] += bool(rep.reachable)
+            loop = detect_loop(session, src)
+            assert loop.headers == decode(loop.mask), (seed, src)
+            assert loop.found == bool(loop.mask)
+            nonempty["loop"] += bool(loop.headers)
+            for hole in detect_blackhole(session, src):
+                assert hole.headers == decode(hole.mask), (seed, src, hole.router)
+                nonempty["blackhole"] += bool(hole.headers)
+    assert min(nonempty.values()) > 0, nonempty
+
+
+def _count_decodes(monkeypatch) -> list[int]:
+    """The masks the decoder hands `_set_bits` from now on; `_extend`'s own
+    calls, which resolve memos, are not decodes and are left out."""
+    import netvec.verify as V
+    real, decoder = V._set_bits, V._decode.__code__
+    masks = []
+
+    def counting(mask):
+        if sys._getframe(1).f_code is decoder:
+            masks.append(mask)
+        return real(mask)
+
+    monkeypatch.setattr(V, "_set_bits", counting)
+    return masks
+
+
+def test_queries_decode_nothing_until_a_set_is_read(monkeypatch):
+    spec = _lazy_spec(5)
+    state = NetworkState.from_spec(spec)
+    decodes = _count_decodes(monkeypatch)
+    session = state.session()
+    src, dst = spec.routers[0], spec.routers[-1]
+    prefix, port = min(spec.rules[src].items(), key=lambda kv: (kv[0].value, kv[0].length))
+    reports = [verify_reachability(session, src, dst),
+               verify_reachability(session, src, src),
+               detect_loop(session, src),
+               *detect_blackhole(session, src),
+               batch_update(state, [UpdateEvent("delete", src, prefix, port, 0)],
+                            src, dst)[0],
+               whatif_link_down(state, spec.edges[0], src, dst).report]
+    assert decodes == []
+    for rep in reports:
+        name = "reachable" if isinstance(rep, ReachabilityReport) else "headers"
+        first = getattr(rep, name)
+        assert getattr(rep, name) is first
+        mask = rep.reachable_vector.bits if name == "reachable" else rep.mask
+        assert decodes[-1:] == [mask]
+    assert len(decodes) == len(reports)
+
+
+def test_racing_first_reads_get_one_set():
+    spec = generate_synthetic(24, 40, 24, seed=3, width=16)
+    session = NetworkState.from_spec(spec).session()
+    src = spec.routers[0]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            report = verify_reachability(session, src, src)     # every class
+            barrier = threading.Barrier(8, timeout=30)
+            got = []
+
+            def reader():
+                barrier.wait()
+                got.append(report.reachable)
+
+            threads = [threading.Thread(target=reader) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert len(got) == 8
+            assert got[0] == frozenset(session.classes)
+            assert all(s is got[0] for s in got)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_reports_stay_frozen_and_compare_as_before():
+    spec = _lazy_spec(5)
+    session = NetworkState.from_spec(spec).session()
+    src, dst = spec.routers[0], spec.routers[-1]
+    rep = verify_reachability(session, src, dst)
+    loop = detect_loop(session, src)
+    assert rep == verify_reachability(session, src, dst)
+    assert rep != verify_reachability(session, src, src)
+    assert loop == detect_loop(session, src)
+    assert "classes" not in repr(rep) and "classes" not in repr(loop)
+    for report, name in ((rep, "reachable"), (rep, "classes"), (loop, "headers"),
+                         (loop, "mask"), (loop, "cycle")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(report, name, None)
 
 
 # ----------------------------------------------------------------------
