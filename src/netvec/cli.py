@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -169,15 +170,16 @@ def cmd_policy(args) -> int:
     return 0
 
 
+_LINK = re.compile(r"(.+?):(\d+)-(.+):(\d+)")   # router names may hold '-'
+
+
 def cmd_whatif(args) -> int:
     state, spec = _load_state(args.network)
-    try:
-        a, b = args.link.split("-")
-        ra, pa = a.rsplit(":", 1)
-        rb, pb = b.rsplit(":", 1)
-        link = (ra, int(pa), rb, int(pb))
-    except ValueError:
-        raise ParseError(f"bad --link {args.link!r}; expected A:pa-B:pb") from None
+    m = _LINK.fullmatch(args.link)
+    if m is None:
+        raise ParseError(f"bad --link {args.link!r}; expected A:pa-B:pb")
+    ra, pa, rb, pb = m.groups()
+    link = (ra, int(pa), rb, int(pb))
     result = whatif_link_down(state, link, args.src, args.dst)
     payload = {"triggered_deletions": result.triggered_deletions,
                "report": _report_payload(result.report, spec.width)}

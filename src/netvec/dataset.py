@@ -17,13 +17,12 @@ same rule syntax, one event per line.
 
 from __future__ import annotations
 
+import math
 import random
 import time
+from collections import deque
 from dataclasses import dataclass, field
-
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
+from itertools import accumulate
 
 from .errors import DuplicateEdge, InfeasibleParameters, ParseError
 from .prefixes import Prefix, format_prefix, parse_prefix
@@ -299,6 +298,21 @@ def serialize_update_stream(events: list[UpdateEvent], width: int) -> str:
 # ----------------------------------------------------------------------
 # synthetic generation
 
+def _bfs_parents(adj: list[list[int]], root: int) -> list[int]:
+    """Breadth-first parent of every node, scanning each adjacency list in
+    order; the root is its own parent and unreached nodes get -1."""
+    parent = [-1] * len(adj)
+    parent[root] = root
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if parent[v] < 0:
+                parent[v] = u
+                queue.append(v)
+    return parent
+
+
 def generate_synthetic(nodes: int, edges: int, rules_per_node: int,
                        mask_distribution: dict[int, float] | None = None,
                        seed: int = 0, width: int = 32) -> NetworkSpec:
@@ -323,6 +337,15 @@ def generate_synthetic(nodes: int, edges: int, rules_per_node: int,
     dist = {l: w for l, w in dist.items() if 1 <= l <= width and w > 0}
     if not dist:
         raise InfeasibleParameters("mask distribution has no usable lengths")
+    lengths = sorted(dist)
+    cum_weights = list(accumulate(dist[l] for l in lengths))
+    try:
+        finite = math.isfinite(cum_weights[-1])
+    except OverflowError:                   # an int too large for a float
+        finite = False
+    if not finite:
+        raise InfeasibleParameters("mask distribution weights do not sum "
+                                   "to a finite number")
 
     rng = random.Random(seed)
     names = [f"r{i}" for i in range(nodes)]
@@ -358,14 +381,12 @@ def generate_synthetic(nodes: int, edges: int, rules_per_node: int,
         spec.edges.append((names[a], pa, names[b], pb))
     host_port = list(port_count)                 # one spare port per router
 
-    lengths = sorted(dist)
-    weights = [dist[l] for l in lengths]
     prefixes: list[Prefix] = []
     homes: list[int] = []
     seen: set[Prefix] = set()
     for k in range(rules_per_node):
         for _ in range(64):
-            length = rng.choices(lengths, weights)[0]
+            length = rng.choices(lengths, cum_weights=cum_weights)[0]
             pfx = Prefix(rng.getrandbits(length), length)
             if pfx not in seen:
                 break
@@ -375,30 +396,25 @@ def generate_synthetic(nodes: int, edges: int, rules_per_node: int,
         prefixes.append(pfx)
         homes.append(k % nodes)
 
-    if nodes > 1:
-        rows = np.fromiter((a for a, b in edge_list), dtype=np.int32)
-        cols = np.fromiter((b for a, b in edge_list), dtype=np.int32)
-        data = np.ones(len(edge_list), dtype=np.int8)
-        graph = csr_matrix((np.concatenate([data, data]),
-                            (np.concatenate([rows, cols]),
-                             np.concatenate([cols, rows]))),
-                           shape=(nodes, nodes))
-        pred_cache: dict[int, np.ndarray] = {}
-        for pfx, h in zip(prefixes, homes):
-            pred = pred_cache.get(h)
-            if pred is None:
-                _, pred = breadth_first_order(graph, h, directed=False,
-                                              return_predecessors=True)
-                pred_cache[h] = pred
-            tables = spec.rules
-            for u in range(nodes):
-                if u == h:
-                    tables[names[u]][pfx] = host_port[u]
-                else:
-                    tables[names[u]][pfx] = port_of[(u, int(pred[u]))]
-    else:
-        for pfx, h in zip(prefixes, homes):
-            spec.rules[names[h]][pfx] = host_port[h]
+    # next hop toward each home: a BFS parent tree that visits neighbours in
+    # ascending index order, one tree per home
+    adj: list[list[int]] = [[] for _ in range(nodes)]
+    for a, b in edge_list:
+        adj[a].append(b)
+        adj[b].append(a)
+    for peers in adj:
+        peers.sort()
+    pred_cache: dict[int, list[int]] = {}
+    tables = spec.rules
+    for pfx, h in zip(prefixes, homes):
+        pred = pred_cache.get(h)
+        if pred is None:
+            pred = pred_cache[h] = _bfs_parents(adj, h)
+        for u in range(nodes):
+            if u == h:
+                tables[names[u]][pfx] = host_port[u]
+            else:
+                tables[names[u]][pfx] = port_of[(u, pred[u])]
     return spec
 
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .errors import DimensionMismatch
 
 
@@ -47,10 +45,6 @@ class StateVector:
 
     def to_bits(self) -> list[int]:
         return [(self.bits >> j) & 1 for j in range(self.width)]
-
-    @property
-    def popcount(self) -> int:
-        return self.bits.bit_count()
 
     def is_zero(self) -> bool:
         return self.bits == 0
@@ -116,7 +110,10 @@ class TransformMatrix:
     def identity(cls, width: int) -> "TransformMatrix":
         return cls(width)
 
-    def to_dense(self) -> np.ndarray:
+    def to_dense(self):
+        """The full m-by-m matrix as a numpy array (for reference checks)."""
+        import numpy as np
+
         dense = np.zeros((self.width, self.width), dtype=np.int64)
         for k in range(self.width):
             mask = self.columns.get(k, 1 << k)

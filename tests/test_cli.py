@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -127,6 +130,17 @@ def test_whatif_bad_link_syntax(toy_file, capsys):
     assert err.startswith("input error: bad --link 'nope'")
 
 
+def test_whatif_hyphenated_router(tmp_path, capsys):
+    f = tmp_path / "hyphen.net"
+    f.write_text("WIDTH 1\nNODE a-1\nNODE b\nEDGE a-1 0 b 0\n"
+                 "RULE a-1 0/1 0\nRULE b 0/1 1\n", encoding="utf-8")
+    code, out, _ = run(capsys, "whatif", str(f), "--link", "a-1:0-b:0",
+                       "--src", "a-1", "--dst", "b", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["triggered_deletions"] == 1
+    assert payload["report"]["reachable"] == []
+
+
 def test_load_default_routes_only(tmp_path, capsys):
     f = tmp_path / "default.net"
     f.write_text("WIDTH 3\nNODE A\nNODE B\nEDGE A 0 B 0\n"
@@ -180,6 +194,21 @@ def test_gen_bad_mask_dist(capsys):
     code, _, err = run(capsys, "gen", "--nodes", "6", "--edges", "8",
                        "--mask-dist", "8:x")
     assert code == 2 and err.startswith("input error: ")
+
+
+def test_runtime_imports_leave_numpy_and_scipy_unloaded(toy_file):
+    probe = (
+        "import sys\n"
+        "import netvec, netvec.cli\n"
+        f"assert netvec.cli.main(['load', {toy_file!r}]) == 0\n"
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+        "import netvec.oracle\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_gen_roundtrip(tmp_path, capsys):
@@ -308,7 +337,8 @@ LINKS = st.sampled_from(["U:0-R:0", "Y:0-U:1", "nope", "U:x-R:0",
                          "ghost:0-R:0", "U:9-R:9", "U:0-R:0-Q:0"])
 MODES = st.sampled_from(["per-update", "batch", "batch:1", "batch:0",
                          "batch:abc", "batchx", "per-update:3", "bogus"])
-MASKS = st.sampled_from(["2:1", "2:1,3:2", "8:x", "", "40:1", "-1:1", ":"])
+MASKS = st.sampled_from(["2:1", "2:1,3:2", "8:x", "", "40:1", "-1:1", ":",
+                         "8:inf", "8:1e308,9:1e308"])
 
 
 def _opt(flag, values):
@@ -363,6 +393,7 @@ ARGV = st.one_of(
 @example(argv=["bench", "{toy}", "--stream", "{bin}"])
 @example(argv=["verify", "{toy}", "--src", "Y", "--dst", "R", "--max-paths", "0"])
 @example(argv=["policy", "{toy}", "--src", "Y", "--dst", "R", "--max-len", "-3"])
+@example(argv=["gen", "--nodes", "6", "--edges", "8", "--mask-dist", "8:1e308,9:1e308"])
 def test_exit_codes_over_generated_argv(cli_files, argv):
     argv = [cli_files.get(a, a) for a in argv]
     out, err = io.StringIO(), io.StringIO()

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -280,6 +282,10 @@ def test_generate_infeasible():
     for width in (0, 129):
         with pytest.raises(InfeasibleParameters, match="width"):
             generate_synthetic(3, 2, 1, width=width)
+    # weights random.choices cannot sample from: infinite, or an overflowing sum
+    for dist in ({8: float("inf")}, {8: 1e308, 9: 1e308}, {8: 1, 9: 10**400}):
+        with pytest.raises(InfeasibleParameters, match="finite"):
+            generate_synthetic(3, 2, 1, mask_distribution=dist)
 
 
 def test_generate_shortest_path_tables():
@@ -289,6 +295,49 @@ def test_generate_shortest_path_tables():
     prefixes = {p for t in spec.rules.values() for p in t}
     for r in spec.routers:
         assert set(spec.rules[r]) == prefixes
+    # and its port leads one hop closer to the prefix's home
+    peer = {}
+    for a, pa, b, pb in spec.edges:
+        peer[(a, pa)] = b
+        peer[(b, pb)] = a
+    for p in prefixes:
+        home, = (r for r in spec.routers if (r, spec.rules[r][p]) not in peer)
+        hops = {home: 0}
+        queue = deque([home])
+        while queue:
+            u = queue.popleft()
+            for (r, _), v in peer.items():
+                if r == u and v not in hops:
+                    hops[v] = hops[u] + 1
+                    queue.append(v)
+        for r in spec.routers:
+            if r != home:
+                assert hops[peer[(r, spec.rules[r][p])]] == hops[r] - 1
+
+
+# sha256 of serialize_network for shapes generated with scipy's BFS, which
+# visits neighbours in ascending index order like the generator's own BFS
+GOLDEN_SHAPES = [
+    (dict(nodes=1, edges=0, rules_per_node=3, seed=1, width=8),
+     "44aaadaad515c295cc6d0bca2da7895d221719c367a018b10685daa87e62bb83"),
+    (dict(nodes=2, edges=1, rules_per_node=4, seed=2, width=8,
+          mask_distribution={4: 1}),
+     "411b75a3276208c5f5417ab71b72031ff36185c77e7c6e00d32e2d7fb7eb0773"),
+    (dict(nodes=30, edges=29, rules_per_node=12, seed=5, width=8,
+          mask_distribution={6: 1}),
+     "00b195112b3b652a76af1c23fb2d05f8ac1ae45a9e44d93920b881de8815d6a1"),
+    (dict(nodes=40, edges=120, rules_per_node=50, seed=3, width=16,
+          mask_distribution={8: 1, 10: 2, 12: 4, 14: 6, 16: 8}),
+     "3aeb9163dbe81a62154fcad0b5d66e58a900c36ad176514fe3944e14e93effd2"),
+    (dict(nodes=300, edges=3000, rules_per_node=20, seed=4, width=32),
+     "dd103c3a958081bb5a883caeb52b752d8c5cbeae5c6ffc72b3a96ab0a2266ebd"),
+]
+
+
+@pytest.mark.parametrize("shape,digest", GOLDEN_SHAPES)
+def test_generate_golden_digest(shape, digest):
+    text = serialize_network(generate_synthetic(**shape))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ----------------------------------------------------------------------
