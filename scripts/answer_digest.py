@@ -11,7 +11,9 @@
     PYTHONPATH=src python3 scripts/answer_digest.py --shape snapshot --seed 7 --count 400
 
 Run it with the `src/` of two checkouts on PYTHONPATH and compare the
-printed digests: equal digests mean bit-identical answers. Only the public
+printed digests: equal digests mean bit-identical answers. With `--lines`
+the hashed text is printed first, line by line, so the outputs of two
+checkouts that differ can be compared with `diff`. Only the public
 API of `netvec` is used, so any two versions of it can be compared.
 
 network: `--count` queries on one root session of a synthetic network with
@@ -83,6 +85,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import random
+import sys
 from collections import deque
 
 from netvec.dataset import (UpdateEvent, generate_synthetic, parse_network,
@@ -97,6 +100,23 @@ from netvec.verify import (NetworkState, batch_update, detect_blackhole,
 MASKS = {8: 1, 10: 2, 12: 4, 14: 6, 16: 8}
 QUERY_MIX = ("reach", "loop", "reach", "blackhole")
 CHURN_PER_CYCLE = 8
+
+
+class Digest:
+    """A sha256 over the answer text; with `lines`, every text is also
+    printed as it is hashed, so two checkouts' outputs can be diffed."""
+
+    def __init__(self, lines: bool):
+        self.sha = hashlib.sha256()
+        self.lines = lines
+
+    def update(self, data: bytes) -> None:
+        if self.lines:
+            sys.stdout.write(data.decode())
+        self.sha.update(data)
+
+    def hexdigest(self) -> str:
+        return self.sha.hexdigest()
 
 
 def _key(p: Prefix):
@@ -172,28 +192,25 @@ def answer_lines(session, kind: str, src: str, dst: str) -> list[str]:
         [f"  {r.router} {classes(r.headers)}" for r in reps]
 
 
-def network_digest(seed: int, count: int) -> str:
+def network_digest(seed: int, count: int, h: Digest) -> str:
     session, queries = network_queries(seed, count)
-    h = hashlib.sha256()
     for query in queries:
         session.touched = set()
         h.update("\n".join(answer_lines(session, *query)).encode() + b"\n")
     return h.hexdigest()
 
 
-def accumulate_digest(seed: int, count: int) -> str:
+def accumulate_digest(seed: int, count: int, h: Digest) -> str:
     session, queries = network_queries(seed, count)
-    h = hashlib.sha256()
     for query in queries:
         lines = answer_lines(session, *query) + [f"touched {len(session.touched)}"]
         h.update("\n".join(lines).encode() + b"\n")
     return h.hexdigest()
 
 
-def repeat_digest(seed: int, count: int) -> str:
+def repeat_digest(seed: int, count: int, h: Digest) -> str:
     session, queries = network_queries(seed, count)
     order = random.Random(f"{seed}:repeat")
-    h = hashlib.sha256()
     for p in (1, 2):
         order.shuffle(queries)
         for query in queries:
@@ -203,13 +220,12 @@ def repeat_digest(seed: int, count: int) -> str:
     return h.hexdigest()
 
 
-def whatif_digest(seed: int, count: int) -> str:
+def whatif_digest(seed: int, count: int, h: Digest) -> str:
     rng = random.Random(f"{seed}:policy")
     spec = build(seed, 24, 60, 120, 12, 6, None, rng)
     withhold(spec, rng, spec.rule_count // 50)
     state = NetworkState.from_spec(spec)
     pairs = random.Random(f"{seed}:queries")
-    h = hashlib.sha256()
     for i in range(count):
         link = spec.edges[i % len(spec.edges)]
         src, dst = pairs.sample(spec.routers, 2)
@@ -265,7 +281,7 @@ def add_intents(spec, rng: random.Random, count: int, taken) -> list[tuple]:
     return intents
 
 
-def repair_digest(seed: int, count: int) -> str:
+def repair_digest(seed: int, count: int, h: Digest) -> str:
     rng = random.Random(f"{seed}:policy")
     spec = build(seed, 14, 60, 200, 10, 4, 1, rng)
     withheld = withhold(spec, rng, 600)
@@ -274,7 +290,6 @@ def repair_digest(seed: int, count: int) -> str:
     churn = random.Random(f"{seed}:churn")
     present: set[int] = set()
     seq = 0
-    h = hashlib.sha256()
     for src, dst, prefix, port in intents:
         events = []
         for _ in range(CHURN_PER_CYCLE):
@@ -344,13 +359,12 @@ def churn_step(state, churn: random.Random, keys, ports, current, seq: int) -> U
     return ev
 
 
-def state_digest(seed: int, count: int) -> str:
+def state_digest(seed: int, count: int, h: Digest) -> str:
     spec, state, ports, current = churn_network(seed)
     keys = list(ports)
     churn = random.Random(f"{seed}:churn")
     events = [churn_step(state, churn, keys, ports, current, seq) for seq in range(count)]
     prefixes = [ev.prefix for ev in events]
-    h = hashlib.sha256()
     h.update(state_views(state, prefixes).encode())
     present = [key for key in keys if current[key] is not None]
     batch = [UpdateEvent("delete", *key, current[key], count + i)
@@ -375,7 +389,7 @@ SNAPSHOT_WRITES = 200    # writes per rewritten prefix
 SNAPSHOT_QUERIES = 6     # reach and blackhole queries per kept session
 
 
-def snapshot_digest(seed: int, count: int) -> str:
+def snapshot_digest(seed: int, count: int, h: Digest) -> str:
     spec, state, ports, current = churn_network(seed)
     keys = list(ports)
     churn = random.Random(f"{seed}:churn")
@@ -397,7 +411,6 @@ def snapshot_digest(seed: int, count: int) -> str:
             churn_step(state, writes, owners, ports, current, seq)
             seq += 1
     queries = random.Random(f"{seed}:queries")
-    h = hashlib.sha256()
     for i, session in enumerate(kept):
         lines = [f"session {i} {session.m} {sorted(session.affected.p_affected)}"]
         for _ in range(SNAPSHOT_QUERIES):
@@ -443,13 +456,12 @@ def spec_lines(spec) -> list[str]:
     return lines
 
 
-def parse_digest(seed: int, count: int) -> str:
+def parse_digest(seed: int, count: int, h: Digest) -> str:
     rng = random.Random(f"{seed}:parse")
     wide = generate_synthetic(40, 120, 150, seed=seed, width=32)
     policy = build(seed, 24, 60, 120, 12, 6, None, rng)
     rules = [(r, p) for r in policy.routers for p in sorted(policy.rules[r], key=_key)]
     policy.pbr = set(rng.sample(rules, 20))
-    h = hashlib.sha256()
     texts = [with_comments(serialize_network(s), rng) for s in (wide, policy)]
     for text in texts:
         h.update("\n".join(spec_lines(parse_network(text))).encode() + b"\n")
@@ -486,8 +498,10 @@ def main(argv=None) -> None:
     ap.add_argument("--shape", choices=sorted(DIGESTS), required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--count", type=int, required=True)
+    ap.add_argument("--lines", action="store_true",
+                    help="print the hashed text before the digest")
     args = ap.parse_args(argv)
-    print(DIGESTS[args.shape](args.seed, args.count))
+    print(DIGESTS[args.shape](args.seed, args.count, Digest(args.lines)))
 
 
 if __name__ == "__main__":

@@ -10,10 +10,12 @@ class the router already forwards (the non-interference set difference).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from .dataset import UpdateEvent
-from .errors import NoPath, RectificationImpossible, UnknownRouter
+from .errors import (InfeasibleParameters, NoPath, RectificationImpossible,
+                     UnknownRouter)
 from .prefixes import Prefix
 from .trie import AffectedSets
 # apply_transform is not called here (hops go through session.enter) but
@@ -52,27 +54,57 @@ def _adjacency(topology) -> dict[str, list[tuple[int, str]]]:
 
 def _simple_paths(topology, src: str, dst: str,
                   max_paths: int) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
-    """Simple topology paths src -> dst as (routers, outgoing ports)."""
+    """The `max_paths` shortest simple topology paths src -> dst as
+    (routers, outgoing ports): by hop count, and among paths of one hop count
+    in depth-first order over ascending ports.
+
+    Iterative deepening: the search for paths of `length` hops follows a link
+    only when the peer's hop count to `dst` fits the hops left, and enters
+    `dst` only with none left, so it holds no frontier of partial paths.
+    """
     adj = _adjacency(topology)
+    hops = {dst: 0}                     # fewest hops to dst, by BFS
+    queue = deque([dst])
+    while queue:
+        r = queue.popleft()
+        for _, peer in adj[r]:
+            if peer not in hops:
+                hops[peer] = hops[r] + 1
+                queue.append(peer)
     found: list[tuple[tuple[str, ...], tuple[int, ...]]] = []
-    stack = [(src, (src,), ())]
-    while stack and len(found) < max_paths:
-        r, path, ports = stack.pop()
-        if r == dst:
-            found.append((path, ports))
-            continue
-        for port, peer in reversed(adj.get(r, ())):
-            if peer in path:
+    if src not in hops:
+        return found
+    for length in range(hops[src], len(hops)):
+        stack = [(src, (src,), ())]
+        while stack and len(found) < max_paths:
+            r, path, ports = stack.pop()
+            if r == dst:
+                found.append((path, ports))
                 continue
-            stack.append((peer, path + (peer,), ports + (port,)))
+            left = length - len(ports) - 1     # hops left once at the peer
+            for port, peer in reversed(adj[r]):
+                # with no hops left only dst fits; with some, dst ends too soon
+                if (hops[peer] <= left and (not left or peer != dst)
+                        and peer not in path):
+                    stack.append((peer, path + (peer,), ports + (port,)))
+        if len(found) == max_paths:
+            break
     return found
 
 
 def path_quality(session: VerificationSession, src: str, dst: str, *,
                  b_init: StateVector | None = None,
                  max_paths: int = 20000) -> list[PathQuality]:
-    """All simple topology paths src -> dst scored by cumulative projection
-    error, ascending (ties broken by the path itself)."""
+    """The `max_paths` shortest simple topology paths src -> dst (fewest
+    hops first; at the longest hop count taken, the first in depth-first
+    order over ascending ports), scored by cumulative projection error and
+    sorted ascending (ties go to shorter paths, then to the path itself).
+
+    Raises InfeasibleParameters when `max_paths` is below 1, UnknownRouter
+    for an unknown `src` or `dst`, and NoPath when no link path joins them.
+    """
+    if max_paths < 1:
+        raise InfeasibleParameters(f"max_paths must be >= 1, got {max_paths}")
     for r in (src, dst):
         if r not in session.topology.peers:
             raise UnknownRouter(r)
@@ -136,14 +168,15 @@ def rectify(state: NetworkState, src: str, dst: str, intent: set[Prefix]
             ) -> RectifyResult:
     """Establish reachability for the intent classes by adding rules.
 
-    Candidate paths are tried in ascending cumulative-error order (ties go
-    to shorter paths). At each router that blocks wanted classes the fix
-    covers the blocked set minus whatever the router already forwards, so
-    candidate headers per router are bounded by the class count; a
-    candidate's fixes are committed only when they deliver new classes to
-    the destination. Raises UnknownRouter for an unknown `src` or `dst`
-    before looking at the intent, and RectificationImpossible when no
-    intent class is reachable and no non-interfering fix exists.
+    Candidate paths, `path_quality`'s shortest simple paths, are tried in
+    ascending cumulative-error order (ties go to shorter paths). At each
+    router that blocks wanted classes the fix covers the blocked set minus
+    whatever the router already forwards, so candidate headers per router
+    are bounded by the class count; a candidate's fixes are committed only
+    when they deliver new classes to the destination. Raises UnknownRouter
+    for an unknown `src` or `dst` before looking at the intent, and
+    RectificationImpossible when no link path joins them, or when no intent
+    class is reachable and no non-interfering fix exists.
     """
     for r in (src, dst):
         if r not in state.topology.peers:
@@ -160,8 +193,11 @@ def rectify(state: NetworkState, src: str, dst: str, intent: set[Prefix]
         return RectifyResult((), frozenset(intent_classes), base)
 
     # rank candidate paths by how badly they drop the intent classes
-    candidates = path_quality(session, src, dst,
-                              b_init=StateVector(intent_bits, session.m))
+    try:
+        candidates = path_quality(session, src, dst,
+                                  b_init=StateVector(intent_bits, session.m))
+    except NoPath as exc:
+        raise RectificationImpossible(str(exc)) from exc
     remaining = intent_bits & ~already
     fixes: list[RuleFix] = []
     overlay: dict[tuple[str, int], int] = {}

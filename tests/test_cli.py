@@ -167,6 +167,19 @@ def test_rectify_unknown_router_exits_2(rect_file, capsys):
     assert err.startswith("error: UnknownRouter: nope")
 
 
+def test_rectify_unconnected_dst_is_impossible(tmp_path, capsys):
+    f = tmp_path / "split.net"
+    f.write_text("WIDTH 3\nNODE A\nNODE B\nNODE C\nEDGE A 0 B 0\n"
+                 "RULE A 0/1 0\nRULE B 1/1 1\n", encoding="utf-8")
+    argv = ("rectify", str(f), "--src", "A", "--dst", "C", "--intent", "1/1", "--json")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["possible"] is False and "C is not connected" in payload["reason"]
+    code, out, _ = run(capsys, *argv, "--assert")
+    assert code == 1 and json.loads(out)["possible"] is False
+
+
 def test_bench(toy_file, tmp_path, capsys):
     stream = tmp_path / "updates.txt"
     stream.write_text("+ Q 00/2 0\n- Q 00/2 0\n", encoding="utf-8")

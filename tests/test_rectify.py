@@ -1,10 +1,11 @@
 import random
+from collections import deque
 
 import pytest
 
-from netvec.dataset import UpdateEvent, parse_network
-from netvec.errors import (NoPath, PbrProtected, RectificationImpossible,
-                           UnknownRouter)
+from netvec.dataset import UpdateEvent, generate_synthetic, parse_network
+from netvec.errors import (InfeasibleParameters, NoPath, PbrProtected,
+                           RectificationImpossible, UnknownRouter)
 from netvec.oracle import simulate_all
 from netvec.prefixes import Prefix
 from netvec.rectify import apply_fixes, cover_classes, path_quality, rectify
@@ -46,6 +47,66 @@ def test_path_quality_no_path():
     state = NetworkState.from_spec(spec)
     with pytest.raises(NoPath):
         path_quality(state.session(), "A", "C")
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_path_quality_rejects_max_paths_below_one(bad):
+    spec = generate_synthetic(6, 8, 6, seed=1, width=8)
+    session = NetworkState.from_spec(spec).session()
+    with pytest.raises(InfeasibleParameters):
+        path_quality(session, "r3", "r0", max_paths=bad)
+    (only,) = path_quality(session, "r3", "r0", max_paths=1)
+    assert only.path[0] == "r3" and only.path[-1] == "r0"
+
+
+def all_simple_paths(peers, src, dst):
+    """Every simple path src -> dst as (routers, ports), by exhaustive
+    search."""
+    found = []
+
+    def walk(path, ports):
+        if path[-1] == dst:
+            found.append((path, ports))
+            return
+        for port, peer in peers[path[-1]].items():
+            if peer not in path:
+                walk(path + (peer,), ports + (port,))
+
+    walk((src,), ())
+    return found
+
+
+def assert_shortest_candidates(session, src, dst, k):
+    """path_quality(max_paths=k) scores k distinct simple paths (all of them
+    when there are at most k) whose hop counts are the k smallest."""
+    peers = session.topology.peers
+    every = all_simple_paths(peers, src, dst)
+    got = [(q.path, q.ports) for q in path_quality(session, src, dst, max_paths=k)]
+    assert len(set(got)) == len(got) == min(k, len(every))
+    assert set(got) <= set(every)
+    assert sorted(len(ports) for _, ports in got) == \
+        sorted(len(ports) for _, ports in every)[:k]
+
+
+def test_path_quality_takes_the_shortest_simple_paths():
+    rng = random.Random(5)
+    for seed in range(12):
+        spec = random_small_network(seed, max_nodes=9)
+        session = NetworkState.from_spec(spec).session()
+        src, dst = rng.sample(spec.routers, 2)
+        total = len(all_simple_paths(session.topology.peers, src, dst))
+        for k in {1, 2, max(1, total // 2), total, total + 5}:
+            assert_shortest_candidates(session, src, dst, k)
+
+
+def test_path_quality_on_a_dense_graph_keeps_the_direct_link():
+    # 1957 simple paths join two routers of the complete 8-router graph; the
+    # first 50 in depth-first order all take detours
+    spec = generate_synthetic(8, 28, 8, seed=3, width=8)
+    session = NetworkState.from_spec(spec).session()
+    assert_shortest_candidates(session, "r0", "r7", 50)
+    qualities = path_quality(session, "r0", "r7", max_paths=50)
+    assert ("r0", "r7") in [q.path for q in qualities]
 
 
 def test_path_quality_ascending_and_shortest_path_best():
@@ -130,6 +191,60 @@ def test_rectify_impossible_when_everything_owned():
     state = NetworkState.from_spec(spec)
     with pytest.raises(RectificationImpossible):
         rectify(state, "A", "R", {Prefix(0, 0)})
+
+
+def test_rectify_unconnected_dst_is_impossible():
+    spec = parse_network("WIDTH 3\nNODE A\nNODE B\nNODE C\nEDGE A 0 B 0\n"
+                         "RULE A 0/1 0\nRULE B 1/1 1\n")
+    state = NetworkState.from_spec(spec)
+    with pytest.raises(RectificationImpossible, match="C is not connected") as info:
+        rectify(state, "A", "C", {pfx("1/1")})
+    assert isinstance(info.value.__cause__, NoPath)
+
+
+REPAIR_MASKS = {8: 1, 10: 2, 12: 4, 14: 6, 16: 8}
+
+
+def lost_intent(seed):
+    """A 14-router, 60-link shortest-path network plus one full-length
+    prefix that no rule covers, routed to a random router on shortest paths
+    with its rule at the source deleted: (state, src, dst, prefix)."""
+    spec = generate_synthetic(14, 60, 200, mask_distribution=REPAIR_MASKS,
+                              seed=seed, width=16)
+    rng = random.Random(seed)
+    used = {p for table in spec.rules.values() for p in table}
+    header = rng.getrandbits(16)
+    while any(Prefix(header >> (16 - n), n) in used for n in range(17)):
+        header = rng.getrandbits(16)
+    prefix = Prefix(header, 16)
+    dst, src = rng.sample(spec.routers, 2)
+    state = NetworkState.from_spec(spec)
+    peers = state.topology.peers
+    toward = {dst: 1 + max(peers[dst])}        # a host port at dst
+    queue = deque([dst])
+    while queue:
+        u = queue.popleft()
+        for v in sorted(peers[u].values()):
+            if v not in toward:
+                toward[v] = min(p for p, w in peers[v].items() if w == u)
+                queue.append(v)
+    state.apply_updates([UpdateEvent("insert", r, prefix, port, i)
+                         for i, (r, port) in enumerate(toward.items())])
+    state.apply_update(UpdateEvent("delete", src, prefix, toward[src], len(toward)))
+    return state, src, dst, prefix
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rectify_restores_a_lost_intent_with_one_rule_at_the_source(seed):
+    # Every candidate drops the intent at the source, so all score 1.0. The
+    # fix is the source's rule toward a neighbour on a shortest route; the
+    # first 20000 depth-first paths are detours, and none of them carries it.
+    state, src, dst, prefix = lost_intent(seed)
+    assert prefix not in verify_reachability(state.session(), src, dst).reachable
+    result = rectify(state, src, dst, {prefix})
+    assert [(f.router, f.prefix) for f in result.fixes] == [(src, prefix)]
+    assert prefix in result.achieved
+    assert prefix in verify_reachability(state.session(), src, dst).reachable
 
 
 @pytest.mark.parametrize("src, dst", [("nope", "R"), ("Y", "nope")])
