@@ -2,6 +2,7 @@
 """Per-kind latency of two netvec source trees, interleaved in one process.
 
     python3 scripts/ab_queries.py OLD/src NEW/src --seed 7 --count 2000
+    python3 scripts/ab_queries.py OLD/src NEW/src --seed 7 --count 2000 --heap 400000
 
 Loads the `netvec` package of each `src/` tree under its own module name
 and builds the inputs of the benchmark's `whole_network` and
@@ -25,14 +26,22 @@ Prints, per workload and kind, each tree's p50 and p90 in microseconds
 and the second tree's p50 and p90 over the first's. Each workload's `all`
 row pools every kind, as the benchmark's `op_latency_ms` pools a run's
 operations; unlike the benchmark, it keeps the cold queries.
+
+With `--heap N`, a separate untimed pass follows: for each tree in turn,
+a fresh root session answers the same N queries of the whole_network mix
+under `tracemalloc`, and the pass prints the traced heap the session grew
+by (memos and everything it keeps) and the number of collections the
+cyclic garbage collector ran in each generation.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,6 +114,40 @@ def whole_network(trees, seed: int, count: int) -> None:
     interleave(trees, [query(*next(queries)) for _ in range(count)])
 
 
+def heap(trees, seed: int, count: int) -> None:
+    """Each tree's traced heap growth and collections per generation over
+    `count` whole_network queries on a fresh root session."""
+    inputs = make_inputs("whole_network", seed)
+    queries = inputs.queries()
+    asked = [next(queries) for _ in range(count)]
+    for t in trees:
+        state = t.loaded(inputs.text)
+        session = state.session(affected=state.affected_for(t.nv.ROOT))
+        calls = {"reach": lambda src, dst: t.verify.verify_reachability(session, src, dst),
+                 "loop": lambda src, _: t.verify.detect_loop(session, src),
+                 "blackhole": lambda src, _: t.verify.detect_blackhole(session, src)}
+        collections = [0, 0, 0]
+
+        def tally(phase, info):
+            if phase == "start":
+                collections[info["generation"]] += 1
+
+        gc.collect()
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        gc.callbacks.append(tally)
+        try:
+            for kind, src, dst in asked:
+                calls[kind](src, dst)
+        finally:
+            gc.callbacks.remove(tally)
+        grown = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.stop()
+        print(f"heap {t.label}: {grown / 2**20:.1f} MB traced growth over {count} queries; "
+              f"collections gen0={collections[0]} gen1={collections[1]} gen2={collections[2]}")
+        del session, state
+
+
 def update_stream(trees, seed: int, count: int) -> None:
     inputs = make_inputs("update_stream", seed)
     churn = inputs.churn()
@@ -136,6 +179,9 @@ def main(argv=None) -> None:
     ap.add_argument("new", type=Path, help="the second tree's src/ directory")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--count", type=int, default=2000)
+    ap.add_argument("--heap", type=int, metavar="N",
+                    help="then measure each tree's heap growth over N whole_network "
+                         "queries, untimed")
     args = ap.parse_args(argv)
     trees = [Tree("old", load(args.old, "netvec_old")),
              Tree("new", load(args.new, "netvec_new"))]
@@ -155,6 +201,8 @@ def main(argv=None) -> None:
             p = [percentile(s, q) / 1000 for q in (50.0, 90.0) for s in (a, b)]
             print(f"{name:14} {kind:14} {len(a):5d} {p[0]:9.1f} {p[1]:9.1f} "
                   f"{p[2]:9.1f} {p[3]:9.1f} {p[1] / p[0]:6.3f} {p[3] / p[2]:6.3f}")
+    if args.heap:
+        heap(trees, args.seed, args.heap)
 
 
 if __name__ == "__main__":

@@ -31,9 +31,13 @@ class Topology:
     """The links of a network. ``peers[r][port]`` is the router at the other
     end of `r`'s linked `port`. Every router has an entry, so ``r in peers``
     tells a router from an unknown name, and a port absent from ``peers[r]``
-    is host-facing. ``edges`` is the spec's own list, not a copy."""
+    is host-facing. ``edges`` is the spec's own list, not a copy.
+    ``index[r]`` is the position of `r` in ``routers`` (the spec's order),
+    the bit that stands for `r` in a mask of routers."""
     edges: list[tuple[str, int, str, int]]
     peers: dict[str, dict[int, str]]
+    routers: tuple[str, ...]
+    index: dict[str, int]
 
     @classmethod
     def from_spec(cls, spec: NetworkSpec) -> "Topology":
@@ -41,7 +45,9 @@ class Topology:
         for a, pa, b, pb in spec.edges:
             peers[a][pa] = b
             peers[b][pb] = a
-        return cls(edges=spec.edges, peers=peers)
+        routers = tuple(peers)
+        return cls(edges=spec.edges, peers=peers, routers=routers,
+                   index={r: i for i, r in enumerate(routers)})
 
     def find_edge(self, a: str, pa: int, b: str, pb: int):
         for edge in self.edges:
@@ -53,7 +59,7 @@ class Topology:
 # ----------------------------------------------------------------------
 # reports
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathResult:
     path: tuple[str, ...]
     b_final: StateVector
@@ -183,10 +189,13 @@ class RouterMemo:
     resolved-class mask, so a hop tests it with one AND); the other fields
     cover every resolved class and only grow. ``by_port`` maps each port to
     its mask in ascending port order and ``keys`` holds the ``(router,
-    port)`` pairs of every port, which a query adds to the session's
-    ``touched`` set for each router it entered; `_extend` replaces it with
-    a new frozenset whenever it adds a port. `split` reads the port
-    index: ``port_of[j]`` is resolved class j's port, or -1 when no rule
+    port)`` pairs of the ports of its counted classes, which a query adds
+    to the session's ``touched`` set for each router it entered; `_extend`
+    replaces it with a new frozenset, and renews the session's stamp when
+    that adds a port. ``uncounted`` holds ``pending`` and the classes a
+    whole-tree reach search resolved ahead (see `_finish`): their ports
+    join ``keys`` once a query that would have resolved them asks. `split`
+    reads the port index: ``port_of[j]`` is resolved class j's port, or -1 when no rule
     matches it, ``groups`` maps each linked port to its ``(mask,
     peer_router)``, ``linked`` is the OR of those masks and ``dropped`` the
     resolved classes no rule matches.
@@ -197,11 +206,11 @@ class RouterMemo:
     None while no resolved class is rewritten.
     """
 
-    __slots__ = ("pending", "by_port", "keys", "port_of", "groups", "linked",
-                 "dropped", "union", "permit", "xform")
+    __slots__ = ("pending", "uncounted", "by_port", "keys", "port_of", "groups",
+                 "linked", "dropped", "union", "permit", "xform")
 
     def __init__(self, m: int):
-        self.pending = (1 << m) - 1
+        self.pending = self.uncounted = (1 << m) - 1
         self.by_port: dict[int, int] = {}
         self.keys: frozenset[tuple[str, int]] = frozenset()
         self.port_of = [-1] * m
@@ -249,19 +258,30 @@ class VerificationSession:
     there, and extended when later visits carry classes not yet resolved.
     The chains it resolves from are snapshots, so answers describe the
     network as it was when the affected set was computed, whatever updates
-    follow; so do the reach trees and blackhole answers it keeps per source.
+    follow; so do the answers it keeps.
+
+    Queries that start with every class (the default `b_init`) and set no
+    limit keep their answer, each with the mask of routers it entered (bit
+    ``topology.index[r]``): ``reach[src][dst]`` once the pair has been
+    asked, ``loops[src]`` and ``holes[src]``. ``sources[src]`` holds what
+    the reach queries from `src` found: after the first, its ``(dst,
+    popped nodes, entered nodes)``; after the second, a `_Source` with
+    every destination's answer (see `verify_reachability`). A kept report
+    is shared by every caller that asks again, so treat it as read-only.
+
     Link peers are read from the topology, which netvec never
     changes after load. Sessions may be queried from several threads: memo
     writers hold a lock and publish every other field before shrinking
-    ``pending``, and readers test ``pending`` first. A reach tree node gets
-    its children in one store of a finished list, so two threads may
-    expand one node and either's (equal) children are kept.
+    ``pending``, and readers test ``pending`` first. Answers are kept by
+    single dict stores; threads that compute one answer at the same time
+    compute equal ones, and either is kept.
 
     ``touched`` holds the ``(router, port)`` pairs of every router a query
     entered and only grows. To count one query's ports, assign a fresh set
     before it (as `perfbench` and `scripts/answer_digest.py` do); clearing
-    the set or removing from it in place is not supported, since queries
-    skip routers whose ports are already recorded as in it.
+    the set or removing from it in place is not supported, since a kept
+    answer skips its merge while neither the set nor any memo's ports
+    changed since its last one.
     """
 
     def __init__(self, affected: AffectedSets, topology: Topology):
@@ -271,33 +291,51 @@ class VerificationSession:
         self.classes = affected.classes
         self.has_transforms = affected.has_transforms
         self.memo: dict[str, RouterMemo] = {}
-        self.touched: set[tuple[str, int]] = set()
-        # per source, for queries that start with every class: the root of
-        # its reach tree (see `verify_reachability`) and `detect_blackhole`'s
-        # reports with the routers it entered
-        self.trees: dict[str, list] = {}
-        self.holes: dict[str, tuple[tuple[BlackholeReport, ...], frozenset[str]]] = {}
+        self._touched: set[tuple[str, int]] = set()
+        self.reach: dict[str, dict[str, _Kept]] = {}
+        self.sources: dict[str, _Source | tuple] = {}
+        self.loops: dict[str, _Kept] = {}
+        self.holes: dict[str, _Kept] = {}
         self._lock = threading.Lock()
         self._starts: list[int] | None = None
-        # `_add_touched`'s record: the `touched` set it was made for and,
-        # per router, the memo keys already in it
-        self._merged: tuple[set | None, dict[str, frozenset] | None] = (None, None)
+        # the class masks of kept reach paths, each value held once: paths
+        # from different sources often carry the same classes
+        self._masks: dict[int, int] = {}
+        # (touched sets assigned, ports added to memos); replaced, under the
+        # lock, whenever either count grows. A kept answer holds the stamp
+        # of its last merge, so an equal object means nothing to merge.
+        self._stamp = (0, 0)
 
-    def resolve(self, router: str, bits: int) -> RouterMemo:
-        """The router's memo, extended to cover the classes in `bits`."""
+    @property
+    def touched(self) -> set[tuple[str, int]]:
+        return self._touched
+
+    @touched.setter
+    def touched(self, value: set[tuple[str, int]]) -> None:
+        if value is not self._touched:          # `touched |= ...` stores the same set back
+            with self._lock:
+                self._touched = value           # before the stamp: see `_hit`
+                sets, ports = self._stamp
+                self._stamp = (sets + 1, ports)
+
+    def resolve(self, router: str, bits: int, count: bool = True) -> RouterMemo:
+        """The router's memo, extended to cover the classes in `bits` and,
+        if `count`, to count their ports in ``keys``."""
         with self._lock:
             memo = self.memo.get(router)
             fresh = memo is None
             if fresh:
                 memo = RouterMemo(self.m)
             need = bits & memo.pending
-            if need:
-                self._extend(router, memo, need)
+            was = memo.uncounted & ~memo.pending        # resolved ahead
+            ahead = was & ~bits if count else was | need
+            if need or ahead != was:
+                self._extend(router, memo, need, ahead)
             if fresh:
                 self.memo[router] = memo
         return memo
 
-    def _extend(self, router: str, memo: RouterMemo, need: int) -> None:
+    def _extend(self, router: str, memo: RouterMemo, need: int, ahead: int) -> None:
         chains = self.affected.chains
         port_of = memo.port_of
         found: dict[int, list[int]] = {}      # port -> newly resolved classes
@@ -326,7 +364,7 @@ class VerificationSession:
         masks = dict(memo.by_port)
         routed = 0
         for port, js in found.items():
-            mask = mask_of(js, m)
+            mask = 1 << js[0] if len(js) == 1 else mask_of(js, m)
             masks[port] = masks.get(port, 0) | mask
             routed |= mask
         peers = self.topology.peers[router]
@@ -334,15 +372,21 @@ class VerificationSession:
         groups: dict[int, tuple[int, str]] = {}
         linked = 0
         keys = []
+        counted = ~ahead
         for port, mask in sorted(masks.items()):
             by_port[port] = mask
-            keys.append((router, port))
+            if mask & counted:
+                keys.append((router, port))
             peer = peers.get(port)
             if peer is not None:
                 groups[port] = (mask, peer)
                 linked |= mask
+        grown = len(keys) > len(memo.keys)
         memo.by_port = by_port
         memo.keys = frozenset(keys)
+        if grown:                               # after the keys: see `_hit`
+            sets, ports = self._stamp
+            self._stamp = (sets, ports + 1)
         memo.groups = groups
         memo.linked = linked
         memo.dropped |= need & ~routed
@@ -354,23 +398,25 @@ class VerificationSession:
             if memo.xform is not None:
                 columns = {**memo.xform.columns, **columns}
             memo.xform = TransformMatrix(m, columns)
+        memo.uncounted = (memo.pending & ~need) | ahead
         memo.pending &= ~need
 
-    def enter(self, router: str, bits: int) -> tuple[RouterMemo, int]:
+    def enter(self, router: str, bits: int, count: bool = True) -> tuple[RouterMemo, int]:
         """One hop's prologue: the classes of `bits` that pass the router's
-        ACL and then its rewrite, with the router's memo resolved for them.
+        ACL and then its rewrite, with the router's memo resolved for them
+        (and their ports counted in ``keys``, if `count`).
 
         Every traversal calls this before projecting onto ports.
         """
         e = self.memo.get(router)
-        if e is None or bits & e.pending:
-            e = self.resolve(router, bits)
+        if e is None or bits & (e.uncounted if count else e.pending):
+            e = self.resolve(router, bits, count)
         if e.permit is not None:
             bits &= e.permit
         if e.xform is not None:
             bits = apply_transform(e.xform, StateVector(bits, self.m)).bits
-            if bits & e.pending:
-                e = self.resolve(router, bits)
+            if bits & (e.uncounted if count else e.pending):
+                e = self.resolve(router, bits, count)
         return e, bits
 
     def _image(self, j: int, match_lo: int, out: Prefix) -> int:
@@ -460,20 +506,26 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
     legitimately route changed traffic back through an earlier router.
     ``max_paths`` must be at least 1 and ``max_hops`` at least 0.
 
-    The search scans `src`'s reach tree in stack order, expanding the nodes
-    no earlier query reached; it stops at `dst` nodes and builds each
-    path's report from the chain of parent hops. A node is the list
-    ``[router, incoming bits, hop, kids]``: ``kids`` is None until a query
-    expands the node, then False if `enter` lets no class through, else the
-    list of child nodes in link order. ``hop`` describes the
-    parent (None at the root): ``(parent's hop, router, b1, incoming bits,
-    path, states)``, where ``b1`` is what `enter` let through, ``path`` the
-    routers from `src` to the parent and ``states``, when the session has
-    rewrites, their ``(router, incoming bits)`` pairs. Children are pruned
-    against these, so they depend only on their ancestors and serve every
-    destination. The session keeps the tree of the default `b_init` in
-    ``session.trees``; a custom `b_init` scans a tree that is not kept.
+    The search (`_search`) pops nodes from a stack and does not expand the
+    ones at `dst`; ``paths_explored`` counts the nodes it popped. A node's
+    children depend only on its ancestors, so the nodes a search for `dst`
+    pops are those of `src`'s whole search tree with no `dst` node above
+    them, in the same order. Queries that start with every class and set
+    no limit use that: the first from `src` searches for its `dst` and
+    keeps the nodes, the second expands the rest of the tree and keeps
+    every destination's report with the routers its own search would have
+    entered (`_finish`), and from then on a pair asked before gets its kept
+    report back, the same object each time. A custom `b_init`,
+    ``max_paths`` or ``max_hops`` searches for `dst` alone and keeps
+    nothing.
     """
+    unlimited = max_paths is None and max_hops is None
+    if b_init is None and unlimited:
+        asked = session.reach.get(src)
+        if asked is not None:
+            kept = asked.get(dst)
+            if kept is not None:
+                return _hit(session, kept)
     if max_paths is not None and max_paths < 1:
         raise InfeasibleParameters(f"max_paths must be >= 1, got {max_paths}")
     if max_hops is not None and max_hops < 0:
@@ -486,60 +538,202 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
             per_path=(PathResult((src,), vector, ()),), total_paths=1,
             paths_explored=1, truncated=False, reachable_vector=vector,
             classes=session.classes)
-    full = start == (1 << m) - 1
-    root = session.trees.get(src) if full else None
-    if root is None:
-        root = [src, start, None, None]
-        if full:
-            root = session.trees.setdefault(src, root)
+    default = unlimited and start == (1 << m) - 1
+    if default:
+        asked = session.reach.get(src)
+        kept = None if asked is None else asked.get(dst)
+        if kept is not None:
+            return _hit(session, kept)
+        source = session.sources.get(src)
+        if source is not None:
+            return _hit(session, _first_ask(session, src, dst, source))
+    nodes, entered, _, truncated = _search(session, [(src, start, (src,), (), ())], dst,
+                                           max_paths, max_hops)
+    _add_touched(session, {node[0] for node in entered})
+    if default:
+        session.sources.setdefault(src, (dst, nodes, entered))
+    return _reach_report(session, [node for node in nodes if node[0] == dst],
+                         len(nodes), truncated)
 
+
+def _first_ask(session: VerificationSession, src: str, dst: str,
+               source: _Source | tuple) -> _Kept:
+    """The kept answer for a pair asked for the first time from a source
+    asked before, stored in ``session.reach[src]``."""
+    if type(source) is tuple:
+        source = _finish(session, src, *source, dst)
+    else:
+        _count_ahead(session, source, dst)
+    answers = source.answers
+    asked = session.reach.setdefault(src, {})
+    if not source.ahead and asked is not answers:
+        # nothing is left to count: every answer is final, so hand them all out
+        answers.update(asked)
+        session.reach[src] = asked = answers
+    return asked.setdefault(dst, answers.get(dst, source.unreached))
+
+
+def _search(session: VerificationSession, stack: list[tuple], dst: str,
+            max_paths: int | None = None, max_hops: int | None = None,
+            whole: bool = False) -> tuple[list[tuple], list[tuple], list[tuple], bool]:
+    """Depth-first search from the nodes on `stack` (the last first).
+
+    Returns the nodes it popped, in that order, the nodes it entered (whose
+    router `enter` let some class through), what it resolved ahead, and
+    whether a limit cut it short. A node is ``(router, incoming bits, path,
+    errors, states)``: ``path`` holds the routers from the source to the
+    node, ``errors`` one ``(router, error)`` pair per hop, the l2 norm of
+    the live classes the router did not send on to the next, each pair one
+    object shared by every path through its link; with rewrites,
+    ``states`` holds the ancestors' ``(router, incoming bits)`` pairs.
+    Children are pushed in link order, each pruned when its router is on
+    the path (its state among the states, with rewrites).
+
+    Nodes at `dst` are not expanded, unless the search is `whole`; then a
+    node with `dst` on its path is resolved without counting its ports
+    (a search for `dst` would not have reached it), and the resolved-ahead
+    list holds its ``(path, router, classes resolved)``. The search stops
+    at the `max_paths`-th `dst` node and expands no node ``max_hops`` hops
+    out.
+    """
     enter = session.enter
     by_state = session.has_transforms
-    entered: set[str] = set()
-    per_path: list[PathResult] = []
+    sqrt = math.sqrt
+    nodes: list[tuple] = []
+    entered: list[tuple] = []
+    ahead: list[tuple] = []
     truncated = False
-    explored = 0
-    stack = [root]
+    found = 0
     while stack:
         node = stack.pop()
-        explored += 1
-        r, bits, hop, kids = node
-        if r == dst:
-            per_path.append(PathResult(hop[4] + (r,), StateVector(bits, m),
-                                       _hop_errors(hop, bits)))
-            if max_paths is not None and len(per_path) >= max_paths:
+        nodes.append(node)
+        r, bits, path, errs, states = node
+        if r == dst and not whole:
+            found += 1
+            if found == max_paths:
                 truncated = True
                 break
             continue
-        if max_hops is not None and (len(hop[4]) if hop else 0) >= max_hops:
+        if max_hops is not None and len(path) > max_hops:
             truncated = True
             continue
-        if kids is None:
+        if whole and dst in path:
+            e, b1 = enter(r, bits, False)
+            resolved = bits if e.xform is None else bits | b1
+            if resolved & e.uncounted:
+                ahead.append((path, r, resolved))
+        else:
             e, b1 = enter(r, bits)
-            if b1:
-                kids = []
-                links = e.split(b1)
-                if links:
-                    path = (hop[4] if hop else ()) + (r,)
-                    states = (hop[5] if hop else ()) + ((r, bits),) if by_state else ()
-                    up = (hop, r, b1, bits, path, states)
-                    for out, nr in links:
-                        if ((nr, out) not in states) if by_state else (nr not in path):
-                            kids.append([nr, out, up, None])
-            else:
-                kids = False
-            node[3] = kids          # stored whole; racing threads store equal lists
-        if kids is not False:
-            entered.add(r)
-            stack += kids
-    _add_touched(session, entered)
+        if not b1:
+            continue
+        entered.append(node)
+        if by_state:
+            states += ((r, bits),)
+        for out, nr in e.split(b1):
+            if ((nr, out) not in states) if by_state else (nr not in path):
+                stack.append((nr, out, path + (nr,),
+                              errs + ((r, sqrt((b1 ^ out).bit_count())),), states))
+    return nodes, entered, ahead, truncated
 
-    union = 0
-    for res in per_path:
-        union |= res.b_final.bits
+
+class _Source:
+    """A source's whole search tree, folded: the kept answer for each
+    destination it reaches, the one shared by the destinations it does not
+    reach (no path, every node popped, every router entered), and the
+    ``(path, router, classes)`` of the nodes whose ports are not counted
+    yet."""
+
+    __slots__ = ("answers", "unreached", "ahead")
+
+    def __init__(self, answers: dict[str, _Kept], unreached: _Kept, ahead: list[tuple]):
+        self.answers = answers
+        self.unreached = unreached
+        self.ahead = ahead
+
+
+def _finish(session: VerificationSession, src: str, first: str, popped: list[tuple],
+            entered: list[tuple], dst: str) -> _Source:
+    """Finish the search from `src` for destination `first`, which popped
+    `popped` and entered `entered`: expand the nodes it left at `first`,
+    counting ports as a search for `dst` would, and keep what a search for
+    each destination would answer in ``session.sources[src]``.
+
+    For a destination d: its paths are its nodes with no d node above
+    them, in search order; it pops the nodes with no d node above them; it
+    enters every router entered at some node with no d node above it,
+    d excepted.
+    """
+    nodes: list[tuple] = []
+    entered = list(entered)
+    ahead: list[tuple] = []
+    for node in popped:
+        if node[0] == first:                    # its subtree follows it in search order
+            more, more_entered, more_ahead, _ = _search(session, [node], dst, whole=True)
+            nodes += more
+            entered += more_entered
+            ahead += more_ahead
+        else:
+            nodes.append(node)
+    index = session.topology.index
+    masks = session._masks
+    tops: dict[str, list[tuple]] = {}       # router -> its nodes with none of it above
+    below: dict[str, int] = {}              # router -> nodes it lies above
+    for node in nodes[1:]:
+        r, bits, path, errs, _ = node
+        above = set(path[:-1])
+        for a in above:
+            below[a] = below.get(a, 0) + 1
+        if r not in above:
+            tops.setdefault(r, []).append((r, masks.setdefault(bits, bits), path, errs, ()))
+    common: dict[str, set[str]] = {}        # router -> routers above every node entering it
+    for node in entered:
+        above = set(node[2][:-1])
+        r = node[0]
+        common[r] = common[r] & above if r in common else above
+    routers = 0
+    behind: dict[str, int] = {}             # router -> routers entered only below it
+    for r, above in common.items():
+        bit = 1 << index[r]
+        routers |= bit
+        for a in above:
+            behind[a] = behind.get(a, 0) | bit
+    n = len(nodes)
+    answers = {d: _Kept(_reach_report(session, paths, n - below.get(d, 0), False),
+                        routers & ~(1 << index[d]) & ~behind.get(d, 0))
+               for d, paths in tops.items()}
+    source = _Source(answers, _Kept(_reach_report(session, [], n, False), routers), ahead)
+    session.sources[src] = source
+    return source
+
+
+def _count_ahead(session: VerificationSession, source: _Source, dst: str) -> None:
+    """Count the ports of what `source`'s search resolved ahead at nodes
+    without `dst` on their path, as a search for `dst` would have."""
+    keep = []
+    memo = session.memo
+    for entry in source.ahead:
+        path, r, bits = entry
+        if dst in path:
+            keep.append(entry)
+        elif bits & memo[r].uncounted:
+            session.resolve(r, bits)
+    source.ahead = keep
+
+
+def _reach_report(session: VerificationSession, found: list[tuple], explored: int,
+                  truncated: bool) -> ReachabilityReport:
+    """The report on the `_search` nodes `found` at the destination."""
+    m = session.m
+    if len(found) == 1:
+        union = found[0][1]                     # the path's own int, not an equal copy
+    else:
+        union = 0
+        for node in found:
+            union |= node[1]
     return ReachabilityReport(
-        per_path=tuple(per_path),
-        total_paths=len(per_path),
+        per_path=tuple([PathResult(path, StateVector(bits, m), errs)
+                        for _, bits, path, errs, _ in found]),
+        total_paths=len(found),
         paths_explored=explored,
         truncated=truncated,
         reachable_vector=StateVector(union, m),
@@ -547,46 +741,54 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
     )
 
 
-def _add_touched(session: VerificationSession, routers) -> None:
-    """Add the ports of each router a query entered to ``session.touched``,
-    from the router's memo as it is now: a memo's keys only grow, and the
-    query resolved the router for every class it brought there.
+class _Kept:
+    """A query's answer with ``routers``, the mask of routers its query
+    entered (bit ``topology.index[r]``), and ``stamp``, the session's
+    ``_stamp`` at its last merge into ``touched`` (None before the first).
+    Sessions keep these for the default `b_init`; none holds a set."""
 
-    ``touched`` only grows. ``session._merged`` records the set it was made
-    for and, per router, the ``keys`` frozenset already ORed into that set;
-    `_extend` replaces a memo's keys whenever it adds a port, so a router
-    whose keys are the recorded object has nothing to add. Assigning a
-    fresh set (as `perfbench` and `scripts/answer_digest.py` do to count
-    one query's ports) starts a new record; clearing the set or removing
-    from it in place is not supported. The record is one tuple, read once,
-    so a thread never pairs one set with another set's record, and a key
-    is recorded only after its ports are in the set. Threads racing to
-    start a record may lose each other's entries, which costs a merge
-    again, never a port.
+    __slots__ = ("answer", "routers", "stamp")
+
+    def __init__(self, answer, routers: int):
+        self.answer = answer
+        self.routers = routers
+        self.stamp = None
+
+
+def _hit(session: VerificationSession, kept: _Kept):
+    """`kept`'s answer, once ``session.touched`` holds the ports of every
+    router its query entered.
+
+    The merge is skipped when the session's stamp is the object stored at
+    the last merge: no set has been assigned to ``touched`` and no memo has
+    gained a port since, and ``touched`` only grows. The stamp is read
+    before the set and the memos, which are stored before a new stamp, so a
+    merge racing either stores a stale stamp and is done again.
     """
-    memo = session.memo
-    touched = session.touched
-    owner, merged = session._merged
-    if owner is not touched:
-        merged = {}
-        session._merged = (touched, merged)
+    stamp = session._stamp
+    if kept.stamp is not stamp:
+        names = session.topology.routers
+        _add_touched(session, [names[i] for i in _set_bits(kept.routers)])
+        kept.stamp = stamp
+    return kept.answer
+
+
+def _router_mask(session: VerificationSession, routers) -> int:
+    index = session.topology.index
+    mask = 0
     for r in routers:
-        keys = memo[r].keys
-        if merged.get(r) is not keys:
-            touched |= keys
-            merged[r] = keys
+        mask |= 1 << index[r]
+    return mask
 
 
-def _hop_errors(hop, out: int) -> tuple[tuple[str, float], ...]:
-    """Per-hop projection errors along the chain of parent hops `hop` above
-    a node that arrived with `out`, first hop first: the l2 norm of the
-    live classes a router did not send on."""
-    errs = ()
-    while hop is not None:
-        hop, r, b1, bits, _, _ = hop
-        errs = ((r, math.sqrt((b1 ^ out).bit_count())),) + errs
-        out = bits
-    return errs
+def _add_touched(session: VerificationSession, routers) -> None:
+    """Add the ports of each of `routers` to ``session.touched``, from the
+    router's memo as it is now: a memo's keys only grow, and the query
+    resolved the router for every class it brought there."""
+    memo = session.memo
+    touched = session._touched
+    for r in routers:
+        touched |= memo[r].keys
 
 
 def detect_loop(session: VerificationSession, src: str,
@@ -597,9 +799,22 @@ def detect_loop(session: VerificationSession, src: str,
     and the projected vector is still non-zero; the live classes at that
     point are the looping headers. Like the other traversals it adds every
     port of each router it enters to ``session.touched``, including ports
-    after the one that closes the cycle.
+    after the one that closes the cycle. The session keeps the answer for
+    the default `b_init` in ``session.loops``.
     """
+    if b_init is None:
+        kept = session.loops.get(src)
+        if kept is not None:
+            return _hit(session, kept)
     start = _start_bits(session, (src,), b_init)
+    kept = _loop(session, src, start)
+    if start == (1 << session.m) - 1:
+        kept = session.loops.setdefault(src, kept)
+    return _hit(session, kept)
+
+
+def _loop(session: VerificationSession, src: str, start: int) -> _Kept:
+    """`detect_loop`'s report from `start`, with the routers it entered."""
     enter = session.enter
     entered: set[str] = set()
     stack = [(src, start, ())]
@@ -612,12 +827,12 @@ def detect_loop(session: VerificationSession, src: str,
         entered.add(r)
         for out, nr in e.split(b1):
             if nr in new_path:
-                _add_touched(session, entered)
                 cycle = new_path[new_path.index(nr):]
-                return LoopReport(cycle=cycle, mask=out, classes=session.classes)
+                return _Kept(LoopReport(cycle=cycle, mask=out, classes=session.classes),
+                             _router_mask(session, entered))
             stack.append((nr, out, new_path))
-    _add_touched(session, entered)
-    return LoopReport(cycle=None, mask=0, classes=session.classes)
+    return _Kept(LoopReport(cycle=None, mask=0, classes=session.classes),
+                 _router_mask(session, entered))
 
 
 def detect_blackhole(session: VerificationSession, src: str,
@@ -634,21 +849,19 @@ def detect_blackhole(session: VerificationSession, src: str,
     for the default `b_init` in ``session.holes``; each call returns a new
     list of its reports.
     """
+    if b_init is None:
+        kept = session.holes.get(src)
+        if kept is not None:
+            return list(_hit(session, kept))
     start = _start_bits(session, (src,), b_init)
-    full = start == (1 << session.m) - 1
-    answer = session.holes.get(src) if full else None
-    if answer is None:
-        answer = _blackholes(session, src, start)
-        if full:
-            session.holes[src] = answer
-    reports, entered = answer
-    _add_touched(session, entered)
-    return list(reports)
+    kept = _blackholes(session, src, start)
+    if start == (1 << session.m) - 1:
+        kept = session.holes.setdefault(src, kept)
+    return list(_hit(session, kept))
 
 
-def _blackholes(session: VerificationSession, src: str, start: int
-                ) -> tuple[tuple[BlackholeReport, ...], frozenset[str]]:
-    """`detect_blackhole`'s reports from `start`, and the routers it entered."""
+def _blackholes(session: VerificationSession, src: str, start: int) -> _Kept:
+    """`detect_blackhole`'s reports from `start`, with the routers it entered."""
     enter = session.enter
     entered: set[str] = set()
     holes: dict[str, int] = {}
@@ -677,7 +890,7 @@ def _blackholes(session: VerificationSession, src: str, start: int
     classes = session.classes
     reports = tuple(BlackholeReport(router=r, mask=bits, classes=classes)
                     for r, bits in sorted(holes.items()))
-    return reports, frozenset(entered)
+    return _Kept(reports, _router_mask(session, entered))
 
 
 def check_policy(report: ReachabilityReport, max_path_len: int | None = None,

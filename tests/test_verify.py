@@ -1,8 +1,10 @@
 import copy
+import gc
 import math
 import random
 import sys
 import threading
+import weakref
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -446,8 +448,8 @@ def test_concurrent_queries_match_serial_answers():
 def _dfs_reach(session, src, dst, start, max_paths=None, max_hops=None):
     """Reachability by a depth-first search that keeps nothing between
     queries: each stack entry carries its path, its visited states and a
-    chain of hop records. The reference a session's reach trees must equal,
-    ``session.touched`` included; reports as `_reach_answer`."""
+    chain of hop records. The reference a session's kept reach answers must
+    equal, ``session.touched`` included; reports as `_reach_answer`."""
     m, by_state = session.m, session.has_transforms
     entered, per_path, truncated, explored = {}, [], False, 0
     stack = [(src, start, (), (), None)]
@@ -561,10 +563,13 @@ def test_one_session_answers_like_a_fresh_session_per_query():
             asked += 1
             warm += i in seen
             seen.add(i)
-        # only queries that start with every class keep what they found
-        for kept, kind in ((shared.trees, "reach"), (shared.holes, "blackhole")):
+        # only queries that start with every class (and, for reach, set no
+        # limit) keep what they found
+        for kept, kind in ((shared.sources, "reach"), (shared.holes, "blackhole")):
             assert set(kept) == {q[1] for q in queries
-                                 if q[0] == kind and q[3] in (None, (1 << m) - 1)}, seed
+                                 if q[0] == kind and q[3] in (None, (1 << m) - 1)
+                                 and not q[4]}, seed
+        assert set(shared.reach) <= set(shared.sources), seed
     assert asked > 1000 and warm > 500
 
 
@@ -610,7 +615,7 @@ def test_touched_accumulates_like_a_merge_on_every_query(monkeypatch):
 
 
 def test_warm_queries_enter_no_router():
-    """Once a source's tree covers every destination and its blackhole
+    """Once every destination of a source has been asked and its blackhole
     answer is kept, its queries resolve nothing and call `enter` not once."""
     for seed, spec in _memo_networks(range(6)):
         state = NetworkState.from_spec(spec)
@@ -627,10 +632,10 @@ def test_warm_queries_enter_no_router():
         assert calls == [], seed
 
 
-def test_concurrent_queries_share_source_trees():
+def test_concurrent_queries_share_source_answers():
     """On each of 100 fresh sessions, eight threads ask the same default
-    queries in the same order, so they expand the same tree nodes and fill
-    the same blackhole answers at once; every answer equals the serial one.
+    queries in the same order, so they search the same sources and fill the
+    same kept answers at once; every answer equals the serial one.
     The threads also merge into one ``touched`` set at once: after one more
     serial pass over the queries it equals the set of a serial session that
     asked them twice."""
@@ -681,6 +686,72 @@ def test_concurrent_queries_share_source_trees():
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
+
+
+def test_kept_answers_equal_a_fresh_search_for_every_destination():
+    """Every destination of several sources, asked twice in a shuffled
+    order with loop queries mixed in: each reach answer equals the search
+    that keeps nothing on a twin session with the same history, ``touched``
+    included, whether the query gets a fresh set or keeps the one before;
+    each loop answer equals a fresh session's."""
+    fresh_sets = kept_sets = 0
+    for seed, spec in _memo_networks(range(12)):
+        state = NetworkState.from_spec(spec)
+        shared, twin = state.session(), state.session()
+        full = (1 << shared.m) - 1
+        rng = random.Random(seed)
+        sources = rng.sample(spec.routers, 4)
+        queries = [("reach", a, b) for a in sources for b in spec.routers]
+        queries = (queries + [("loop", a, None) for a in sources]) * 2
+        rng.shuffle(queries)
+        for kind, src, dst in queries:
+            if rng.random() < 0.5:
+                shared.touched, twin.touched = set(), set()
+                fresh_sets += 1
+            else:
+                kept_sets += 1
+            if kind == "reach":
+                got = verify_reachability(shared, src, dst)
+                assert _reach_answer(got) == _dfs_reach(twin, src, dst, full), (seed, src, dst)
+            else:
+                got = detect_loop(shared, src)
+                assert got == detect_loop(state.session(), src), (seed, src)
+                detect_loop(twin, src)
+            assert shared.touched == twin.touched, (seed, kind, src, dst)
+    assert fresh_sets > 400 and kept_sets > 400
+
+
+def test_warm_hit_merges_nothing_and_holds_no_set(monkeypatch):
+    """Warm repeats that keep one ``touched`` set merge nothing; after a
+    fresh set is assigned, the next query merges once, and the session
+    keeps no reference to the set it replaced."""
+    import netvec.verify as V
+
+    calls = []
+    add = V._add_touched
+    monkeypatch.setattr(V, "_add_touched",
+                        lambda session, routers: calls.append(1) or add(session, routers))
+    for seed, spec in _memo_networks(range(6)):
+        session = NetworkState.from_spec(spec).session()
+        queries = [("reach", a, b, None, {}) for a in spec.routers[:3]
+                   for b in spec.routers if a != b]
+        queries += [(kind, a, None, None, {}) for a in spec.routers[:3]
+                    for kind in ("loop", "blackhole")]
+        for _ in range(3):                      # searched, folded, then merged at the last stamp
+            for query in queries:
+                _ask(session, query)
+        calls.clear()
+        for query in queries:
+            _ask(session, query)
+        assert calls == [], seed
+        for query in queries:
+            replaced = weakref.ref(session.touched)
+            session.touched = set()
+            _ask(session, query)
+            assert len(calls) == 1, (seed, query)
+            calls.clear()
+            gc.collect()
+            assert replaced() is None, (seed, query)
 
 
 def test_memo_publishes_fields_before_pending_shrinks(monkeypatch):
