@@ -63,9 +63,10 @@ and withheld rules, after `--count` seeded churn events (inserts of
 withheld rules, deletes, and port replacements), then after one batch that
 fails on its last event (a second delete of its first rule), then after one `whatif_link_down`. At each of the
 three points the digest covers every router's `tables` sorted by prefix,
-`homes` sorted by prefix, and `home_of` of every churn event's prefix in
-event order; it also covers the failed batch's error name and the
-what-if's triggered deletions.
+`homes` sorted by prefix, `home_of` of every churn event's prefix in
+event order, and every header class of the trie (`leaf_entries`: prefix
+and label, in range order); it also covers the failed batch's error name
+and the what-if's triggered deletions.
 
 snapshot: the state shape's network and churn, keeping at `--count` / 4
 event intervals a root session and a session on the last event's prefix
@@ -324,6 +325,7 @@ def state_views(state, prefixes) -> str:
     lines += [f"home {_key(p)} {r}" for p, r in sorted(state.homes.items(),
                                                         key=lambda kv: _key(kv[0]))]
     lines += [f"home_of {_key(p)} {state.home_of(p)}" for p in prefixes]
+    lines += [f"class {_key(p)} {label.name}" for p, label, _ in state.trie.leaf_entries()]
     return "\n".join(lines) + "\n"
 
 

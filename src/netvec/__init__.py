@@ -1,7 +1,7 @@
 """Dataplane verification over prefix equivalence classes and bit vectors."""
 
 from .errors import (AlignmentDiverged, DimensionMismatch, DuplicateEdge,
-                     InfeasibleParameters, NetvecError, NoPath, NodeMissing,
+                     InfeasibleParameters, NetvecError, NoPath,
                      NonOrthonormalColumns, NotFound, ParseError, PbrProtected,
                      PrefixTooLong, RectificationImpossible, UnknownLink,
                      UnknownRouter, WidthTooLarge)

@@ -15,10 +15,6 @@ class NotFound(NetvecError):
     pass
 
 
-class NodeMissing(NetvecError):
-    pass
-
-
 # --- vector algebra ---
 
 class DimensionMismatch(NetvecError):

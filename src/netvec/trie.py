@@ -1,11 +1,14 @@
 """Network-wide binary tree over rule headers.
 
 Every rule header (forwarding, ACL, transform, or plain boundary marker)
-terminates a root-to-node path. Leaves are the non-overlapping header
-classes: a rule header ending at a leaf is *atomic*, a rule header ending at
-an interior node is a *supernet*, and *iatomic* leaves are synthesized so the
-leaf set exactly partitions every supernet's range. Updating a rule
-re-derives labels and iatomic leaves locally, and `compute_affected` reports
+terminates a root-to-node path, and the trie stores those paths only. The
+header classes do not overlap: a rule header ending at a leaf is an
+*atomic* class, one ending at an interior node is a *supernet*, and the
+*induced* (iatomic) classes fill the rest of each supernet's range. An
+induced class is the missing child of a node at or below a rule node; it is
+never stored, and the walks that list classes (`compute_affected`,
+`leaf_entries`) emit it where they meet the gap. An update therefore adds
+or prunes one root path and nothing else, and `compute_affected` reports
 the classes whose behavior an update (or a batch of them) may have changed,
 each with the rule-bearing nodes its longest-prefix winners come from.
 """
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
 
-from .errors import NodeMissing, NotFound, PrefixTooLong
+from .errors import NotFound, PrefixTooLong
 from .prefixes import Prefix
 
 
@@ -42,8 +45,11 @@ LOG_SLACK = 16
 
 
 class TrieNode:
+    """A node on the path to some rule header; a leaf always carries a rule
+    (the root of an empty trie aside)."""
+
     __slots__ = ("zero", "one", "owners", "log", "acl", "xform", "marker",
-                 "label", "value", "depth", "_prefix")
+                 "value", "depth", "_prefix", "_gap")
 
     def __init__(self, value: int, depth: int):
         self.zero: TrieNode | None = None
@@ -58,10 +64,10 @@ class TrieNode:
         self.acl: dict[str, bool] = _EMPTY      # router -> permit
         self.xform: dict[str, Prefix] = _EMPTY  # router -> rewrite target
         self.marker = False
-        self.label = Label.NONE
         self.value = value                      # path bits as an integer
         self.depth = depth
         self._prefix: Prefix | None = None
+        self._gap: Prefix | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -71,12 +77,29 @@ class TrieNode:
     def is_rule(self) -> bool:
         return bool(self.owners or self.acl or self.xform or self.marker)
 
+    @property
+    def label(self) -> Label:
+        """ATOMIC for a rule leaf, SUPERNET for an interior rule node, NONE
+        otherwise. No node is IATOMIC: induced classes are not stored."""
+        if not self.is_rule:
+            return Label.NONE
+        return Label.ATOMIC if self.is_leaf else Label.SUPERNET
+
     def prefix(self) -> Prefix:
         """The node's prefix, built on first use and kept (a node never
         moves), so affected sets reuse one `Prefix` per class."""
         if self._prefix is None:
             self._prefix = Prefix(self.value, self.depth)
         return self._prefix
+
+    def gap(self) -> Prefix:
+        """The prefix of a one-child node's missing child (an induced class
+        when the node is covered), kept like `prefix()` while it is missing."""
+        bit = int(self.zero is not None)
+        gap = self._gap
+        if gap is None or gap.value & 1 != bit:
+            gap = self._gap = Prefix(self.value << 1 | bit, self.depth + 1)
+        return gap
 
 
 def _write_owner(node: TrieNode, router: str, port: int | None) -> None:
@@ -103,10 +126,12 @@ def _write_owner(node: TrieNode, router: str, port: int | None) -> None:
 @dataclass(frozen=True, slots=True)
 class UpdateOutcome:
     created_nodes: int
+    # the insert made a class that was not there: a leaf other than the
+    # one filling exactly an induced class
     new_leaf: bool
-    # False when the update left every node and marker in place (an insert
-    # that created no node, or a delete whose node stays a rule), so no
-    # class boundary moved
+    # False when no class boundary moved: an insert that made no new leaf
+    # and turned no uncovered interior node into a rule, or a delete whose
+    # node stays a rule
     shape_changed: bool
 
 
@@ -204,7 +229,7 @@ class HeaderTrie:
         self.last_affected_visits = 0
 
     # ------------------------------------------------------------------
-    # leaves
+    # classes
 
     def nodes(self):
         """Every node, in pre-order (a node before its zero, then one, subtree)."""
@@ -217,34 +242,40 @@ class HeaderTrie:
             if node.zero is not None:
                 stack.append(node.zero)
 
-    def _leaves(self):
-        """The labelled leaves, in range-start order (an empty trie has none)."""
-        return (n for n in self.nodes()
-                if n.zero is None and n.one is None and n.label != Label.NONE)
+    def _classes(self):
+        """Every class as (prefix, label), in range-start order: each rule
+        leaf, and each missing child of a node at or below a rule node (an
+        empty trie has none)."""
+        stack: list = [(self.root, False)]
+        while stack:
+            node, covered = stack.pop()
+            if covered is None:                 # an induced class's prefix
+                yield node, Label.IATOMIC
+            elif node.zero is None and node.one is None:
+                if node.is_rule:                # an empty root is no class
+                    yield node.prefix(), Label.ATOMIC
+            else:
+                covered = covered or node.is_rule
+                for child in (node.one, node.zero):
+                    if child is not None:
+                        stack.append((child, covered))
+                    elif covered:
+                        stack.append((node.gap(), None))
 
     def leaf_entries(self) -> list[tuple[Prefix, Label, int]]:
         """All classes as (prefix, label, coordinate), in range-start order."""
-        return [(n.prefix(), Label(n.label), i) for i, n in enumerate(self._leaves())]
+        return [(p, label, i) for i, (p, label) in enumerate(self._classes())]
 
     @property
     def num_leaves(self) -> int:
-        return sum(1 for _ in self._leaves())
+        return sum(1 for _ in self._classes())
 
     @property
     def iatomic_count(self) -> int:
-        return sum(1 for n in self._leaves() if n.label == Label.IATOMIC)
+        return sum(1 for _, label in self._classes() if label == Label.IATOMIC)
 
     # ------------------------------------------------------------------
     # structural helpers
-
-    def _relabel(self, node: TrieNode) -> None:
-        if node.is_leaf:
-            if node.is_rule:
-                node.label = Label.ATOMIC
-            else:                               # an empty root is no class
-                node.label = Label.IATOMIC if node.depth else Label.NONE
-        else:
-            node.label = Label.SUPERNET if node.is_rule else Label.NONE
 
     def _new_child(self, parent: TrieNode, bit: int) -> TrieNode:
         child = TrieNode((parent.value << 1) | bit, parent.depth + 1)
@@ -271,44 +302,25 @@ class HeaderTrie:
             path.append(node)
         return path
 
+    def _covered(self, node: TrieNode) -> bool:
+        """Whether a rule or marker node lies on the root path to `node`,
+        `node` included: then each missing child of `node` is an induced
+        class. Walks from the root, so the hot walks need not track it."""
+        return any(n.is_rule for n in self._walk(Prefix(node.value, node.depth)))
+
     def port(self, prefix: Prefix, router: str) -> int | None:
         """`router`'s port for exactly `prefix`, or None if it has no such rule."""
         path = self._walk(prefix)
         return None if path is None else path[-1].owners.get(router)
 
-    def _complete(self, top: TrieNode, covered: bool) -> int:
-        """Create iatomic siblings for single-child nodes under supernets."""
-        created = 0
-        stack = [(top, covered)]
-        while stack:
-            node, cov = stack.pop()
-            cov = cov or node.label == Label.SUPERNET
-            zero, one = node.zero, node.one
-            if cov and (zero is None) != (one is None):
-                sib = self._new_child(node, 0 if zero is None else 1)
-                sib.label = Label.IATOMIC
-                created += 1
-            for child in (node.zero, node.one):
-                if child is not None and not child.is_leaf:
-                    stack.append((child, cov))
-        return created
-
-    @staticmethod
-    def _nearest_supernet(path: list[TrieNode]) -> TrieNode | None:
-        for node in reversed(path):
-            if node.label == Label.SUPERNET:
-                return node
-        return None
-
     # ------------------------------------------------------------------
     # mutations
 
-    def _apply_insert(self, prefix: Prefix, mark, materialize: bool) -> UpdateOutcome:
-        """Shared insert flow: ensure the node, apply `mark`, re-derive locally."""
+    def _apply_insert(self, prefix: Prefix, mark) -> UpdateOutcome:
+        """Shared insert flow: ensure the node's path, then apply `mark`."""
         if prefix.length > self.width:
             raise PrefixTooLong(f"{prefix} exceeds width {self.width}")
         node = self.root
-        path = [node]
         created = 0
         branch = None        # deepest pre-existing node that gained a child
         value, length = prefix.value, prefix.length
@@ -321,26 +333,21 @@ class HeaderTrie:
                 nxt = self._new_child(node, bit)
                 created += 1
             node = nxt
-            path.append(node)
-        was_supernet = node.label == Label.SUPERNET
-        mark(node)
         if created:
-            node.label = Label.ATOMIC
-            self._relabel(branch)
-        self._relabel(node)
-        new_leaf = created > 0
-        if materialize:
-            if created:
-                scope = self._nearest_supernet(path[:-1])
-                if scope is not None:
-                    created += self._complete(scope, covered=True)
-            elif node.label == Label.SUPERNET and not was_supernet:
-                created += self._complete(node, covered=True)
+            # one new leaf beside a sibling under a cover fills exactly an
+            # induced class: no boundary moves
+            new_leaf = not (created == 1 and branch.zero is not None
+                            and branch.one is not None and self._covered(branch))
+            shape_changed = new_leaf
+        else:
+            # an uncovered interior node that becomes a rule induces classes under it
+            new_leaf = False
+            shape_changed = not (node.is_leaf or node.is_rule or self._covered(node))
+        mark(node)
         return UpdateOutcome(created_nodes=created, new_leaf=new_leaf,
-                             shape_changed=created > 0)
+                             shape_changed=shape_changed)
 
-    def insert_header(self, prefix: Prefix, owner: tuple[str, int], *,
-                      materialize: bool = True) -> UpdateOutcome:
+    def insert_header(self, prefix: Prefix, owner: tuple[str, int]) -> UpdateOutcome:
         """Insert a forwarding rule header owned by (router, port).
 
         Re-inserting the same (prefix, router) replaces the port: a class
@@ -351,10 +358,9 @@ class HeaderTrie:
         def mark(node):
             _write_owner(node, router, port)
 
-        return self._apply_insert(prefix, mark, materialize)
+        return self._apply_insert(prefix, mark)
 
-    def insert_owners(self, prefix: Prefix, owners: dict[str, int], *,
-                      materialize: bool = True) -> UpdateOutcome:
+    def insert_owners(self, prefix: Prefix, owners: dict[str, int]) -> UpdateOutcome:
         """Bulk variant of insert_header: one walk, many owners.
 
         Takes ownership of `owners`: a node with no owners yet adopts the
@@ -365,30 +371,29 @@ class HeaderTrie:
             node.owners = {**node.owners, **owners} if node.owners else owners
             node.log = _NO_LOG
 
-        return self._apply_insert(prefix, mark, materialize)
+        return self._apply_insert(prefix, mark)
 
-    def insert_acl(self, prefix: Prefix, router: str, permit: bool, *,
-                   materialize: bool = True) -> UpdateOutcome:
+    def insert_acl(self, prefix: Prefix, router: str, permit: bool) -> UpdateOutcome:
         def mark(node):
             node.acl = {**node.acl, router: permit}
 
-        return self._apply_insert(prefix, mark, materialize)
+        return self._apply_insert(prefix, mark)
 
-    def insert_transform(self, match: Prefix, router: str, out: Prefix, *,
-                         materialize: bool = True) -> UpdateOutcome:
+    def insert_transform(self, match: Prefix, router: str, out: Prefix) -> UpdateOutcome:
         def mark(node):
             node.xform = {**node.xform, router: out}
 
-        return self._apply_insert(match, mark, materialize)
+        return self._apply_insert(match, mark)
 
-    def insert_marker(self, prefix: Prefix, *, materialize: bool = True) -> UpdateOutcome:
+    def insert_marker(self, prefix: Prefix) -> UpdateOutcome:
         def mark(node):
             node.marker = True
 
-        return self._apply_insert(prefix, mark, materialize)
+        return self._apply_insert(prefix, mark)
 
     def delete_header(self, prefix: Prefix, owner: tuple[str, int]) -> UpdateOutcome:
-        """Remove a forwarding rule; prunes and re-derives the affected region."""
+        """Remove a forwarding rule; a node left with no rule and no child
+        is pruned, and so are its bare ancestors."""
         router, port = owner
         path = self._walk(prefix)
         if path is None:
@@ -399,18 +404,8 @@ class HeaderTrie:
         _write_owner(node, router, None)
         if node.is_rule:
             return UpdateOutcome(0, False, False)    # other rules keep the node alive
-        self._relabel(node)
-        created = 0
-        scope = self._nearest_supernet(path[:-1])
-        if scope is not None:
-            created = self._rederive(scope, covered=True)
-        elif not node.is_leaf:
-            created = self._rederive(node, covered=False)
-            self._prune_upward(path)
-        elif len(path) > 1:
-            self._unlink(path[-2], node)
-            self._prune_upward(path[:-1])
-        return UpdateOutcome(created_nodes=created, new_leaf=False, shape_changed=True)
+        self._prune_upward(path)
+        return UpdateOutcome(created_nodes=0, new_leaf=False, shape_changed=True)
 
     def _prune_upward(self, path: list[TrieNode]) -> None:
         """Drop trailing chain nodes that carry no rule and no children."""
@@ -420,55 +415,25 @@ class HeaderTrie:
                 break
             self._unlink(path[i - 1], node)
 
-    def _rederive(self, top: TrieNode, covered: bool) -> int:
-        """Re-derive labels and iatomic leaves for the subtree under `top`."""
-        self._prune_subtree(top)
-        self._relabel(top)
-        return self._complete(top, covered)
-
-    def _prune_subtree(self, top: TrieNode) -> None:
-        """Remove iatomic leaves and empty chains below `top` (post-order)."""
-        def prune(node: TrieNode) -> bool:
-            for attr in ("zero", "one"):
-                child = getattr(node, attr)
-                if child is not None and prune(child):
-                    setattr(node, attr, None)
-            if node is top:
-                return False
-            if node.is_leaf:
-                if node.is_rule:
-                    self._relabel(node)
-                    return False
-                return True
-            self._relabel(node)
-            return False
-
-        prune(top)
-
-    def materialize_iatomic(self) -> int:
-        """Complete every single-child chain under a supernet, tree-wide.
-
-        Inserts re-derive eagerly, so this returns 0 on an up-to-date trie;
-        it exists for bulk loads performed with ``materialize=False``.
-        """
-        return self._complete(self.root, covered=False)
-
     # ------------------------------------------------------------------
     # affected sets
 
-    def compute_affected(self, *prefixes: Prefix, clamp: bool = False) -> AffectedSets:
+    def compute_affected(self, *prefixes: Prefix) -> AffectedSets:
         """Classes possibly affected by updates at `prefixes`.
 
         One walk from the root follows every prefix's path and collects the
-        leaves under each prefix's node, in range-start order; nested and
-        repeated prefixes add nothing. Each class keeps the rule-bearing
-        nodes on its root path (see `AffectedSets.chains`), so a session
-        can resolve longest-prefix winners without another trie pass. With
-        ``clamp=True`` a missing node clamps to the deepest existing
-        ancestor (used after deletions); otherwise it is an error.
+        classes under each prefix's node, in range-start order: the rule
+        leaves, and an induced class at each missing child of a node at or
+        below a rule node. Nested and repeated prefixes add nothing. A
+        prefix with no node (its rules were deleted) yields the induced
+        class it lies in, if any; otherwise it clamps to its deepest
+        existing ancestor, whose classes it yields. Each class keeps the
+        rule-bearing nodes on its root path (see `AffectedSets.chains`), so
+        a session can resolve longest-prefix winners without another trie
+        pass.
         """
         width = self.width
-        leaves: list[TrieNode] = []
+        classes: list[Prefix] = []
         chains: list[tuple[ChainEntry, ...]] = []
         visits = 0
         has_xform = False
@@ -482,18 +447,27 @@ class HeaderTrie:
             return chain + ((node.owners, log, len(log), node.acl, node.xform,
                              node.value << (width - node.depth)),)
 
-        def collect(node: TrieNode, chain: tuple) -> None:
+        def collect(node: TrieNode, chain: tuple, covered: bool) -> None:
+            """Every class under `node`; `covered` tells whether a rule or
+            marker node lies above it."""
+            nonlocal visits
             if node.owners or node.acl or node.xform:
                 chain = extend(node, chain)
-            if node.zero is None and node.one is None:
-                leaves.append(node)
+                covered = True
+            zero, one = node.zero, node.one
+            if zero is None and one is None:
+                classes.append(node.prefix())
                 chains.append(chain)
                 return
-            nonlocal visits
-            for child in (node.zero, node.one):
+            covered = covered or node.marker
+            for child in (zero, one):
                 if child is not None:
                     visits += 1
-                    collect(child, chain)
+                    collect(child, chain, covered)
+                elif covered:
+                    visits += 1
+                    classes.append(node.gap())
+                    chains.append(chain)
 
         def seek(node: TrieNode, chain: tuple, targets: list[Prefix]) -> None:
             nonlocal visits
@@ -508,38 +482,42 @@ class HeaderTrie:
             for shift in range(length - 1 - node.depth, length - 1 - shared, -1):
                 child = node.one if value >> shift & 1 else node.zero
                 if child is None:
-                    if not clamp:
-                        raise NodeMissing(f"no node for {lead}")
-                    break                       # clamp to the deepest existing node
+                    break                       # the targets left the trie here
                 if node.owners or node.acl or node.xform:
                     chain = extend(node, chain)
                 node = child
                 visits += 1
-            if node.depth < shared or any(p.length == shared for p in targets):
-                collect(node, chain)
-                return
-            groups = ([], [])
-            for p in targets:
-                groups[p.bit(shared)].append(p)
-            if node.zero is None or node.one is None:
-                if not clamp:
-                    raise NodeMissing(f"no node for {groups[node.zero is not None][0]}")
-                collect(node, chain)
-                return
-            if node.owners or node.acl or node.xform:
-                chain = extend(node, chain)
-            for child, group in zip((node.zero, node.one), groups):
-                visits += 1
-                seek(child, chain, group)
+            zero, one = node.zero, node.one
+            if zero is None and one is None:
+                collect(node, chain, False)     # a leaf is its own class
+            elif node.depth == shared and any(p.length == shared for p in targets):
+                collect(node, chain, self._covered(node))
+            elif (zero is None or one is None) and not self._covered(node):
+                collect(node, chain, False)     # clamp to the deepest node
+            else:
+                # split the targets by their next bit; a side with no child
+                # is an induced class, which holds that side's targets
+                groups = ([], [])
+                for p in targets:
+                    groups[p.bit(node.depth)].append(p)
+                if node.owners or node.acl or node.xform:
+                    chain = extend(node, chain)
+                for bit, child in ((0, zero), (1, one)):
+                    if groups[bit]:
+                        visits += 1
+                        if child is not None:
+                            seek(child, chain, groups[bit])
+                        else:
+                            classes.append(node.gap())
+                            chains.append(chain)
 
         if prefixes:
             visits = 1
             seek(self.root, (), list(prefixes))
         self.last_affected_visits = visits
 
-        classes = tuple(n.prefix() for n in leaves)
         return AffectedSets(
-            classes=classes,
+            classes=tuple(classes),
             class_ranges=tuple(p.range(width) for p in classes),
             width=width,
             chains=tuple(chains),
@@ -555,7 +533,6 @@ class HeaderTrie:
             if node is None:
                 return None
             return (
-                int(node.label),
                 tuple(sorted(node.owners.items())),
                 tuple(sorted(node.acl.items())),
                 tuple(sorted((r, (out.value, out.length)) for r, out in node.xform.items())),

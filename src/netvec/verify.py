@@ -961,15 +961,14 @@ class NetworkState:
                 else:
                     owners[r] = port
         for pfx, owners in by_prefix.items():
-            trie.insert_owners(pfx, owners, materialize=False)
+            trie.insert_owners(pfx, owners)
         for r, acl in spec.acls.items():
             for pfx, permit in acl.items():
-                trie.insert_acl(pfx, r, permit, materialize=False)
+                trie.insert_acl(pfx, r, permit)
         for r, table in spec.transforms.items():
             for match, out in table.items():
-                trie.insert_transform(match, r, out, materialize=False)
-                trie.insert_marker(out, materialize=False)
-        trie.materialize_iatomic()
+                trie.insert_transform(match, r, out)
+                trie.insert_marker(out)
         state = cls(spec, trie, topology)
         state._align_transforms()
         return state
@@ -1038,18 +1037,19 @@ class NetworkState:
                     for bit, child in ((0, node.zero), (1, node.one)):
                         if child is not None:
                             stack.append((child, (rel_val << 1) | bit, rel_len + 1))
+                        else:                   # an induced class under the match
+                            suffixes.append(((rel_val << 1) | bit, rel_len + 1))
                 for rel_val, rel_len in suffixes:
                     target = Prefix((out.value << rel_len) | rel_val,
                                     out.length + rel_len)
                     existing = trie._walk(target)
                     if existing is None or not existing[-1].marker:
-                        trie.insert_marker(target, materialize=False)
+                        trie.insert_marker(target)
                         changed = True
             if not changed:
                 break
         else:
             raise AlignmentDiverged("transform class alignment did not converge")
-        trie.materialize_iatomic()
 
     def apply_update(self, event: UpdateEvent, *, pbr: bool = False) -> UpdateOutcome:
         if event.op not in ("insert", "delete"):
@@ -1100,12 +1100,12 @@ class NetworkState:
             self._align_transforms()
 
     def affected_for(self, *prefixes: Prefix) -> AffectedSets:
-        return self.trie.compute_affected(*prefixes, clamp=True)
+        return self.trie.compute_affected(*prefixes)
 
     def session(self, update_prefix: Prefix | None = None,
                 affected: AffectedSets | None = None) -> VerificationSession:
         if affected is None:
-            affected = self.trie.compute_affected(update_prefix or ROOT, clamp=True)
+            affected = self.trie.compute_affected(update_prefix or ROOT)
         return VerificationSession(affected, self.topology)
 
 

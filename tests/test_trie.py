@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netvec.errors import NodeMissing, NotFound, PrefixTooLong
+from netvec.errors import NotFound, PrefixTooLong
 from netvec.oracle import interval_partition
 from netvec.prefixes import ROOT, Prefix
 from netvec.trie import LOG_SLACK, HeaderTrie, Label, chain_owners, chain_port
@@ -134,30 +134,28 @@ def test_delete_overlapping_rule_repartitions():
 
 
 # ----------------------------------------------------------------------
-# materialization
+# induced classes (derived on the walks, never stored)
 
 def test_materialize_counts_single_completion():
-    trie = HeaderTrie(3)
-    for text, owner in [("000/3", ("U", 0)), ("01/2", ("U", 1)),
-                        ("1/1", ("R", 0)), ("0/1", ("Q", 0))]:
-        trie.insert_header(pfx(text), owner, materialize=False)
-    created = trie.materialize_iatomic()
-    assert created == 1
+    trie = build(3, [("000/3", ("U", 0)), ("01/2", ("U", 1)),
+                     ("1/1", ("R", 0)), ("0/1", ("Q", 0))])
+    assert trie.iatomic_count == 1
     assert [str(p) for p, label, _ in trie.leaf_entries() if label == Label.IATOMIC] \
         == ["001/3"]
+    assert sum(1 for _ in trie.nodes()) == 6     # the induced class is no node
 
 
 def test_materialize_disjoint_atomics_creates_nothing():
     trie = build(4, [("00/2", ("A", 0)), ("01/2", ("B", 0)), ("10/2", ("C", 0))])
-    assert trie.materialize_iatomic() == 0
+    assert trie.iatomic_count == 0
+    assert [str(p) for p, _, _ in trie.leaf_entries()] == ["00/2", "01/2", "10/2"]
 
 
 def test_materialize_deep_chain_one_per_level():
     trie = HeaderTrie(4)
-    trie.insert_header(Prefix(0, 1), ("Q", 0), materialize=False)
-    trie.insert_header(Prefix(0, 4), ("U", 0), materialize=False)
-    created = trie.materialize_iatomic()
-    assert created == 3
+    trie.insert_header(Prefix(0, 1), ("Q", 0))
+    trie.insert_header(Prefix(0, 4), ("U", 0))
+    assert trie.iatomic_count == 3
     got = {str(p) for p, label, _ in trie.leaf_entries() if label == Label.IATOMIC}
     assert got == {"0001/4", "001/3", "01/2"}
     # the leaves cover exactly 0/1's range
@@ -186,10 +184,30 @@ def test_affected_isolated_leaf():
 
 def test_affected_missing_node():
     trie = build(3, [("00/2", ("A", 0))])
-    with pytest.raises(NodeMissing):
-        trie.compute_affected(pfx("11/2"))
-    clamped = trie.compute_affected(pfx("11/2"), clamp=True)
+    clamped = trie.compute_affected(pfx("11/2"))
     assert [str(p) for p in clamped.classes] == ["00/2"]
+
+
+def test_missing_prefix_inside_an_induced_class_gives_that_class():
+    """A prefix with no node (its rules were deleted) that lies in an
+    induced class yields exactly that class, alone or batched."""
+    trie = build(3, [("0/1", ("Q", 0)), ("000/3", ("U", 0))])
+    assert [str(p) for p, _, _ in trie.leaf_entries()] == ["000/3", "001/3", "01/2"]
+    for text, want in [("011/3", ["01/2"]), ("01/2", ["01/2"]), ("001/3", ["001/3"])]:
+        aff = trie.compute_affected(pfx(text))
+        assert [str(p) for p in aff.classes] == want, text
+        assert [len(c) for c in aff.chains] == [1], text     # 0/1's rule
+    batched = trie.compute_affected(pfx("011/3"), pfx("010/3"), pfx("001/3"))
+    assert [str(p) for p in batched.classes] == ["001/3", "01/2"]
+    both = trie.compute_affected(pfx("011/3"), pfx("000/3"))
+    assert [str(p) for p in both.classes] == ["000/3", "01/2"]
+    # outside every cover a missing prefix still clamps to its deepest node
+    assert [str(p) for p in trie.compute_affected(pfx("11/2")).classes] == \
+        ["000/3", "001/3", "01/2"]
+    # filling the induced class moves no boundary; a rule on an uncovered
+    # interior node does
+    assert not trie.insert_header(pfx("01/2"), ("A", 0)).shape_changed
+    assert build(3, [("000/3", ("U", 0))]).insert_header(pfx("0/1"), ("Q", 0)).shape_changed
 
 
 def test_affected_equals_interval_overlap_oracle():
@@ -229,8 +247,8 @@ def test_one_walk_over_many_prefixes_equals_merged_sets():
         # updated prefixes: existing, nested, repeated and missing ones
         targets = rng.sample(prefixes, rng.randint(1, len(prefixes)))
         targets += [Prefix(rng.getrandbits(6), 6) for _ in range(2)] + targets[:1]
-        merged = merge_affected([trie.compute_affected(p, clamp=True) for p in targets])
-        walked = trie.compute_affected(*targets, clamp=True)
+        merged = merge_affected([trie.compute_affected(p) for p in targets])
+        walked = trie.compute_affected(*targets)
         assert walked.classes == merged.classes
         assert walked.class_ranges == merged.class_ranges
         assert walked.chains == merged.chains
@@ -298,6 +316,11 @@ def test_affected_sets_share_each_leaf_prefix():
     second = trie.compute_affected(ROOT).classes
     assert [str(p) for p in second] == ["00/2", "01/2", "1/1"]
     assert second[0] is first[0] and second[2] is first[1]
+    trie.insert_header(pfx("0/1"), ("Q", 0))
+    trie.delete_header(pfx("01/2"), ("Y", 1))
+    third = trie.compute_affected(ROOT).classes     # 01/2 is an induced class now
+    assert [str(p) for p in third] == ["00/2", "01/2", "1/1"]
+    assert trie.compute_affected(ROOT).classes[1] is third[1]
 
 
 # ----------------------------------------------------------------------
@@ -359,8 +382,12 @@ def test_partition_under_mixed_updates(ops):
     live: dict[Prefix, dict[str, int]] = {}
     for is_insert, prefix, router, port in ops:
         if is_insert:
-            trie.insert_header(prefix, (router, port))
+            before = trie.leaf_entries()
+            outcome = trie.insert_header(prefix, (router, port))
             live.setdefault(prefix, {})[router] = port
+            if not outcome.shape_changed:   # no class moved; a filled one is atomic now
+                assert trie.leaf_entries() == \
+                    [(p, Label.ATOMIC if p == prefix else label, i) for p, label, i in before]
         else:
             current = live.get(prefix, {}).get(router)
             if current is None:
