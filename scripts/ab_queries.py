@@ -3,6 +3,7 @@
 
     python3 scripts/ab_queries.py OLD/src NEW/src --seed 7 --count 2000
     python3 scripts/ab_queries.py OLD/src NEW/src --seed 7 --count 2000 --heap 400000
+    python3 scripts/ab_queries.py OLD/src NEW/src --seed 7 --count 20000 --layers
 
 Loads the `netvec` package of each `src/` tree under its own module name
 and builds the inputs of the benchmark's `whole_network` and
@@ -18,14 +19,24 @@ that keeps per-source work pays for it on the cold query. Router memos
 fill as the queries go, so early queries of either kind also resolve
 routers, in both trees alike. update_stream: `--count` churn events, each
 applied, its affected set and session built and reachability verified, as
-one timed operation. Every operation runs on both trees back to back, and
-the tree that goes first alternates, so drift in the machine's speed
-falls on both alike.
+one timed operation. With `--layers`, each update also gets one row per
+layer, timed apart: `apply` (`apply_update`), `affected` (`affected_for`),
+`session` (`session`) and `reach` (`verify_reachability`).
 
-Prints, per workload and kind, each tree's p50 and p90 in microseconds
-and the second tree's p50 and p90 over the first's. Each workload's `all`
-row pools every kind, as the benchmark's `op_latency_ms` pools a run's
-operations; unlike the benchmark, it keeps the cold queries.
+A third tree, `ctl`, is the first tree's `src/` loaded again under its own
+module name. Every operation runs on the three trees back to back, and
+which tree goes first rotates, so drift in the machine's speed falls on
+all alike. The control shows what position and module identity alone do:
+unchanged code can read slower in one module than in another, most on
+sub-microsecond warm hits.
+
+Prints, per workload and kind, the first two trees' p50 and p90 in
+microseconds, the second tree's p50 and p90 over the first's, and the
+control's p50 and p90 over the first tree's (`ctl x`): a ratio of the
+second tree that lies within the control's distance from 1 shows no
+difference. The whole_network `all` row pools every kind, as the
+benchmark's `op_latency_ms` pools a run's operations; unlike the
+benchmark, it keeps the cold queries.
 
 With `--heap N`, a separate untimed pass follows: for each tree in turn,
 a fresh root session answers the same N queries of the whole_network mix
@@ -82,9 +93,11 @@ class Tree:
 
 
 def interleave(trees, ops) -> None:
-    """Run each operation on every tree, alternating which goes first."""
+    """Run each operation on every tree, rotating which goes first."""
+    n = len(trees)
     for i, op in enumerate(ops):
-        for tree in trees if i % 2 == 0 else trees[::-1]:
+        k = i % n
+        for tree in trees[k:] + trees[:k]:
             op(tree)
 
 
@@ -148,7 +161,7 @@ def heap(trees, seed: int, count: int) -> None:
         del session, state
 
 
-def update_stream(trees, seed: int, count: int) -> None:
+def update_stream(trees, seed: int, count: int, layers: bool = False) -> None:
     inputs = make_inputs("update_stream", seed)
     churn = inputs.churn()
     events = [churn.next() for _ in range(count)]
@@ -163,11 +176,25 @@ def update_stream(trees, seed: int, count: int) -> None:
         def op(t):
             state, ev = states[t.label], parsed[t.label][i]
 
-            def one():
-                state.apply_update(ev)
-                session = state.session(affected=state.affected_for(ev.prefix))
-                t.verify.verify_reachability(session, ev.router, dsts[i])
-            t.timed("update", one)
+            if not layers:
+                def one():
+                    state.apply_update(ev)
+                    session = state.session(affected=state.affected_for(ev.prefix))
+                    t.verify.verify_reachability(session, ev.router, dsts[i])
+                t.timed("update", one)
+                return
+            t0 = clock()
+            state.apply_update(ev)
+            t1 = clock()
+            affected = state.affected_for(ev.prefix)
+            t2 = clock()
+            session = state.session(affected=affected)
+            t3 = clock()
+            t.verify.verify_reachability(session, ev.router, dsts[i])
+            t4 = clock()
+            for kind, ns in (("update", t4 - t0), ("apply", t1 - t0), ("affected", t2 - t1),
+                             ("session", t3 - t2), ("reach", t4 - t3)):
+                t.times.setdefault(kind, []).append(ns)
         return op
 
     interleave(trees, [update(i) for i in range(count)])
@@ -182,27 +209,38 @@ def main(argv=None) -> None:
     ap.add_argument("--heap", type=int, metavar="N",
                     help="then measure each tree's heap growth over N whole_network "
                          "queries, untimed")
+    ap.add_argument("--layers", action="store_true",
+                    help="also time each update's apply, affected, session and reach "
+                         "layers apart")
     args = ap.parse_args(argv)
     trees = [Tree("old", load(args.old, "netvec_old")),
-             Tree("new", load(args.new, "netvec_new"))]
-    print(f"old={args.old}  new={args.new}  seed={args.seed}  count={args.count}")
-    print(f"{'workload':14} {'kind':14} {'n':>5} {'old p50':>9} {'new p50':>9} "
-          f"{'old p90':>9} {'new p90':>9} {'p50 x':>6} {'p90 x':>6}")
-    for name, run in (("whole_network", whole_network), ("update_stream", update_stream)):
+             Tree("new", load(args.new, "netvec_new")),
+             Tree("ctl", load(args.old, "netvec_ctl"))]
+    print(f"old={args.old}  new={args.new}  ctl=old  seed={args.seed}  count={args.count}")
+    print(f"{'workload':14} {'kind':14} {'n':>6} {'old p50':>9} {'new p50':>9} "
+          f"{'old p90':>9} {'new p90':>9} {'p50 x':>6} {'p90 x':>6} "
+          f"{'ctl p50 x':>9} {'ctl p90 x':>9}")
+    runs = (("whole_network", whole_network),
+            ("update_stream", lambda *a: update_stream(*a, layers=args.layers)))
+    for name, run in runs:
         for t in trees:
             t.times = {}
         run(trees, args.seed, args.count)
-        old, new = (t.times for t in trees)
-        rows = [(kind, old[kind], new[kind]) for kind in old]
-        rows.append(("all", [ns for _, a, _ in rows for ns in a],
-                     [ns for _, _, b in rows for ns in b]))
-        for kind, a, b in rows:
-            a, b = sorted(a), sorted(b)
-            p = [percentile(s, q) / 1000 for q in (50.0, 90.0) for s in (a, b)]
-            print(f"{name:14} {kind:14} {len(a):5d} {p[0]:9.1f} {p[1]:9.1f} "
-                  f"{p[2]:9.1f} {p[3]:9.1f} {p[1] / p[0]:6.3f} {p[3] / p[2]:6.3f}")
+        kinds = list(trees[0].times)
+        if "update" in kinds:
+            kinds.remove("update")
+            kinds.append("update")              # the sum after its layers
+        rows = [(kind, *(t.times[kind] for t in trees)) for kind in kinds]
+        if name == "whole_network":
+            rows.append(("all", *([ns for row in rows for ns in row[i]] for i in (1, 2, 3))))
+        for kind, *times in rows:
+            old, new, ctl = ([percentile(s, q) / 1000 for q in (50.0, 90.0)]
+                             for s in map(sorted, times))
+            print(f"{name:14} {kind:14} {len(times[0]):6d} {old[0]:9.2f} {new[0]:9.2f} "
+                  f"{old[1]:9.2f} {new[1]:9.2f} {new[0] / old[0]:6.3f} {new[1] / old[1]:6.3f} "
+                  f"{ctl[0] / old[0]:9.3f} {ctl[1] / old[1]:9.3f}")
     if args.heap:
-        heap(trees, args.seed, args.heap)
+        heap(trees[:2], args.seed, args.heap)
 
 
 if __name__ == "__main__":

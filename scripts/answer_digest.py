@@ -9,6 +9,7 @@
     PYTHONPATH=src python3 scripts/answer_digest.py --shape parse --seed 7 --count 2000
     PYTHONPATH=src python3 scripts/answer_digest.py --shape state --seed 7 --count 2000
     PYTHONPATH=src python3 scripts/answer_digest.py --shape snapshot --seed 7 --count 400
+    PYTHONPATH=src python3 scripts/answer_digest.py --shape update --seed 7 --count 2000
 
 Run it with the `src/` of two checkouts on PYTHONPATH and compare the
 printed digests: equal digests mean bit-identical answers. With `--lines`
@@ -79,6 +80,16 @@ queries (as in network, with their touched counts) and a blackhole query
 from each reach's source (reports and touched count). Sessions answer for
 the network as it was when they were built, so every version prints the
 same digest however it keeps that snapshot.
+
+update: `--count` seeded churn events on a width-32 `generate_synthetic`
+network with withheld rules (inserts of absent rules, deletes, and port
+replacements), each taken through the per-update path: `apply_update`,
+`affected_for` of its prefix, a session on that affected set, and
+`verify_reachability` from the updated router to the prefix's home (the
+router itself when the prefix has none). Per event the digest covers the
+`UpdateOutcome`, the class count, `trie.last_affected_visits`, the classes
+in order, the reachable classes, every `per_path` entry in order, paths
+explored and the size of `session.touched` after the query.
 """
 
 from __future__ import annotations
@@ -430,6 +441,38 @@ def snapshot_digest(seed: int, count: int, h: Digest) -> str:
     return h.hexdigest()
 
 
+def update_digest(seed: int, count: int, h: Digest) -> str:
+    spec = generate_synthetic(200, 600, 150, seed=seed, width=32)
+    rng = random.Random(f"{seed}:update")
+    withheld = withhold(spec, rng, spec.rule_count // 20)
+    state = NetworkState.from_spec(spec)
+    current: list[int | None] = [None] * len(withheld)   # each withheld rule's port now
+    for seq in range(count):
+        i = rng.randrange(len(withheld))
+        router, prefix, port = withheld[i]
+        now = current[i]
+        if now is None:
+            ev = UpdateEvent("insert", router, prefix, port, seq)
+        elif rng.random() < 0.25:
+            ev = UpdateEvent("insert", router, prefix, now + rng.randint(1, 3), seq)
+        else:
+            ev = UpdateEvent("delete", router, prefix, now, seq)
+        outcome = state.apply_update(ev)
+        current[i] = None if ev.op == "delete" else ev.port
+        affected = state.affected_for(prefix)
+        visits = state.trie.last_affected_visits
+        session = state.session(affected=affected)
+        dst = state.home_of(prefix) or router
+        rep = verify_reachability(session, router, dst)
+        lines = [f"{ev.op} {router} {prefix} {ev.port} {outcome.created_nodes} "
+                 f"{outcome.new_leaf} {outcome.shape_changed} {affected.m} {visits} "
+                 f"{' '.join(map(str, affected.classes))}",
+                 f"reach {dst} {rep.paths_explored} {rep.truncated} {len(session.touched)} "
+                 f"{classes(rep.reachable)}"]
+        h.update("\n".join(lines + path_lines(rep)).encode() + b"\n")
+    return h.hexdigest()
+
+
 # Inserted one or two at a time into valid text; a RULE line copied with
 # another port is added to these.
 BAD_LINES = ("RULE r0 012/3 0", "RULE r0 0/1 -5", "RULE r0 0/1 99999999999",
@@ -492,7 +535,7 @@ def parse_digest(seed: int, count: int, h: Digest) -> str:
 DIGESTS = {"network": network_digest, "repeat": repeat_digest,
            "accumulate": accumulate_digest, "repair": repair_digest,
            "whatif": whatif_digest, "parse": parse_digest, "state": state_digest,
-           "snapshot": snapshot_digest}
+           "snapshot": snapshot_digest, "update": update_digest}
 
 
 def main(argv=None) -> None:

@@ -29,6 +29,7 @@ from .prefixes import Prefix, format_prefix, parse_prefix
 
 DEFAULT_MASK_DISTRIBUTION = {8: 1, 12: 2, 16: 4, 20: 6, 24: 12}
 MAX_WIDTH = 128     # widest header a network file may declare
+PORT_LIMIT = 1 << 24    # ports are ints in [0, PORT_LIMIT)
 
 
 @dataclass
@@ -138,7 +139,7 @@ class _Tokens:
         port = self.ports.get(token)
         if port is None:
             port = _int_at(lineno, token, "port")
-            if port >= 1 << 24:
+            if port >= PORT_LIMIT:
                 raise ParseError("port numbers are limited to 24 bits", line=lineno)
             self.ports[token] = port
         return port

@@ -135,6 +135,20 @@ class UpdateOutcome:
     shape_changed: bool
 
 
+# The outcomes of updates that make no node, shared: outcomes are frozen.
+_KEPT = UpdateOutcome(0, False, False)
+_MOVED = UpdateOutcome(0, False, True)
+
+
+def _filled(cls, fields: dict):
+    """An instance of the frozen dataclass `cls` with `fields`, every one
+    of its fields, as its ``__dict__``: one store in place of the
+    generated ``__init__``'s ``object.__setattr__`` per field."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
+
+
 # A rule-bearing trie node as a class's chain records it:
 #   (owners, log, mark, acl, xform, lo)
 # `owners` and `log` are the node's owner map and change log and `mark` the
@@ -143,6 +157,13 @@ class UpdateOutcome:
 # rewrite maps as they were at capture, and `lo` the low end of the node's
 # header range.
 ChainEntry = tuple[dict[str, int], list, int, dict[str, bool], dict[str, Prefix], int]
+
+
+def _entry(node: TrieNode, width: int) -> ChainEntry:
+    """Rule-bearing `node`'s chain entry, captured now."""
+    log = node.log
+    return (node.owners, log, len(log), node.acl, node.xform,
+            node.value << (width - node.depth))
 
 
 def chain_port(entry: ChainEntry, router: str) -> int | None:
@@ -302,6 +323,16 @@ class HeaderTrie:
             path.append(node)
         return path
 
+    def _find(self, prefix: Prefix) -> TrieNode | None:
+        """`prefix`'s node, or None: `_walk` without the path."""
+        node = self.root
+        value = prefix.value
+        for shift in range(prefix.length - 1, -1, -1):
+            node = node.one if value >> shift & 1 else node.zero
+            if node is None:
+                return None
+        return node
+
     def _covered(self, node: TrieNode) -> bool:
         """Whether a rule or marker node lies on the root path to `node`,
         `node` included: then each missing child of `node` is an induced
@@ -310,14 +341,15 @@ class HeaderTrie:
 
     def port(self, prefix: Prefix, router: str) -> int | None:
         """`router`'s port for exactly `prefix`, or None if it has no such rule."""
-        path = self._walk(prefix)
-        return None if path is None else path[-1].owners.get(router)
+        node = self._find(prefix)
+        return None if node is None else node.owners.get(router)
 
     # ------------------------------------------------------------------
     # mutations
 
-    def _apply_insert(self, prefix: Prefix, mark) -> UpdateOutcome:
-        """Shared insert flow: ensure the node's path, then apply `mark`."""
+    def _insert_path(self, prefix: Prefix) -> tuple[TrieNode, UpdateOutcome]:
+        """Shared insert flow: ensure `prefix`'s path and return its node,
+        which the caller marks, with the insert's outcome."""
         if prefix.length > self.width:
             raise PrefixTooLong(f"{prefix} exceeds width {self.width}")
         node = self.root
@@ -338,14 +370,11 @@ class HeaderTrie:
             # induced class: no boundary moves
             new_leaf = not (created == 1 and branch.zero is not None
                             and branch.one is not None and self._covered(branch))
-            shape_changed = new_leaf
-        else:
-            # an uncovered interior node that becomes a rule induces classes under it
-            new_leaf = False
-            shape_changed = not (node.is_leaf or node.is_rule or self._covered(node))
-        mark(node)
-        return UpdateOutcome(created_nodes=created, new_leaf=new_leaf,
-                             shape_changed=shape_changed)
+            return node, UpdateOutcome(created, new_leaf, new_leaf)
+        # an uncovered interior node that becomes a rule induces classes under it
+        if node.is_leaf or node.is_rule or self._covered(node):
+            return node, _KEPT
+        return node, _MOVED
 
     def insert_header(self, prefix: Prefix, owner: tuple[str, int]) -> UpdateOutcome:
         """Insert a forwarding rule header owned by (router, port).
@@ -353,12 +382,9 @@ class HeaderTrie:
         Re-inserting the same (prefix, router) replaces the port: a class
         resolves to at most one port per router under longest-prefix match.
         """
-        router, port = owner
-
-        def mark(node):
-            _write_owner(node, router, port)
-
-        return self._apply_insert(prefix, mark)
+        node, outcome = self._insert_path(prefix)
+        _write_owner(node, *owner)
+        return outcome
 
     def insert_owners(self, prefix: Prefix, owners: dict[str, int]) -> UpdateOutcome:
         """Bulk variant of insert_header: one walk, many owners.
@@ -367,45 +393,42 @@ class HeaderTrie:
         dict itself, so the caller must not change it afterwards. The node's
         map is replaced, not edited, so its log starts over.
         """
-        def mark(node):
-            node.owners = {**node.owners, **owners} if node.owners else owners
-            node.log = _NO_LOG
-
-        return self._apply_insert(prefix, mark)
+        node, outcome = self._insert_path(prefix)
+        node.owners = {**node.owners, **owners} if node.owners else owners
+        node.log = _NO_LOG
+        return outcome
 
     def insert_acl(self, prefix: Prefix, router: str, permit: bool) -> UpdateOutcome:
-        def mark(node):
-            node.acl = {**node.acl, router: permit}
-
-        return self._apply_insert(prefix, mark)
+        node, outcome = self._insert_path(prefix)
+        node.acl = {**node.acl, router: permit}
+        return outcome
 
     def insert_transform(self, match: Prefix, router: str, out: Prefix) -> UpdateOutcome:
-        def mark(node):
-            node.xform = {**node.xform, router: out}
-
-        return self._apply_insert(match, mark)
+        node, outcome = self._insert_path(match)
+        node.xform = {**node.xform, router: out}
+        return outcome
 
     def insert_marker(self, prefix: Prefix) -> UpdateOutcome:
-        def mark(node):
-            node.marker = True
-
-        return self._apply_insert(prefix, mark)
+        node, outcome = self._insert_path(prefix)
+        node.marker = True
+        return outcome
 
     def delete_header(self, prefix: Prefix, owner: tuple[str, int]) -> UpdateOutcome:
         """Remove a forwarding rule; a node left with no rule and no child
         is pruned, and so are its bare ancestors."""
+        if prefix.length > self.width:
+            raise PrefixTooLong(f"{prefix} exceeds width {self.width}")
         router, port = owner
-        path = self._walk(prefix)
-        if path is None:
+        node = self._find(prefix)
+        if node is None:
             raise NotFound(f"no node for {prefix}")
-        node = path[-1]
         if node.owners.get(router) != port:
             raise NotFound(f"({prefix}, {(router, port)}) not present")
         _write_owner(node, router, None)
         if node.is_rule:
-            return UpdateOutcome(0, False, False)    # other rules keep the node alive
-        self._prune_upward(path)
-        return UpdateOutcome(created_nodes=0, new_leaf=False, shape_changed=True)
+            return _KEPT                        # other rules keep the node alive
+        self._prune_upward(self._walk(prefix))
+        return _MOVED
 
     def _prune_upward(self, path: list[TrieNode]) -> None:
         """Drop trailing chain nodes that carry no rule and no children."""
@@ -431,98 +454,107 @@ class HeaderTrie:
         rule-bearing nodes on its root path (see `AffectedSets.chains`), so
         a session can resolve longest-prefix winners without another trie
         pass.
+
+        The walk is one stack of ``(node, chain, covered, targets)``, the
+        zero side above the one side, so classes come off it in order.
+        ``chain`` holds the rule-bearing nodes above `node`. With
+        ``targets``, the prefixes whose paths run through `node`, it seeks
+        them; without, it collects every class under `node`, ``covered``
+        telling whether a rule or marker node lies above it. A ``covered``
+        of None marks an induced class's prefix in place of a node.
         """
         width = self.width
         classes: list[Prefix] = []
         chains: list[tuple[ChainEntry, ...]] = []
-        visits = 0
         has_xform = False
-
-        def extend(node: TrieNode, chain: tuple) -> tuple:
-            """`chain` plus rule-bearing `node`'s entry."""
-            nonlocal has_xform
-            if node.xform:
-                has_xform = True
-            log = node.log
-            return chain + ((node.owners, log, len(log), node.acl, node.xform,
-                             node.value << (width - node.depth)),)
-
-        def collect(node: TrieNode, chain: tuple, covered: bool) -> None:
-            """Every class under `node`; `covered` tells whether a rule or
-            marker node lies above it."""
-            nonlocal visits
+        visits = 1 if prefixes else 0
+        stack: list[tuple] = [(self.root, (), False, prefixes)] if prefixes else []
+        while stack:
+            node, chain, covered, targets = stack.pop()
+            if covered is None:
+                classes.append(node)
+                chains.append(chain)
+                continue
+            if targets is not None:
+                # walk the path every target shares, then split where they diverge
+                lead = targets[0]
+                value, length = lead.value, lead.length
+                shared = length
+                for p in targets[1:]:
+                    k = min(length, p.length)
+                    diff = (value >> (length - k)) ^ (p.value >> (p.length - k))
+                    shared = min(shared, k - diff.bit_length())
+                depth = node.depth
+                for shift in range(length - 1 - depth, length - 1 - shared, -1):
+                    child = node.one if value >> shift & 1 else node.zero
+                    if child is None:
+                        break                   # the targets left the trie here
+                    if node.owners or node.acl or node.xform:
+                        chain += (_entry(node, width),)
+                        if node.xform:
+                            has_xform = True
+                    node = child
+                depth, visits = node.depth, visits + node.depth - depth
+                zero, one = node.zero, node.one
+                if zero is None and one is None:
+                    covered = False             # a leaf is its own class
+                elif depth == shared and (len(targets) == 1 or
+                                          any(p.length == shared for p in targets)):
+                    covered = self._covered(node)
+                elif (zero is None or one is None) and not self._covered(node):
+                    covered = False             # clamp to the deepest node
+                else:
+                    # split the targets by their next bit; a side with no
+                    # child is an induced class, which holds that side's targets
+                    groups: tuple[list, list] = ([], [])
+                    for p in targets:
+                        groups[p.bit(depth)].append(p)
+                    if node.owners or node.acl or node.xform:
+                        chain += (_entry(node, width),)
+                        if node.xform:
+                            has_xform = True
+                    for group, child in ((groups[1], one), (groups[0], zero)):
+                        if group:
+                            visits += 1
+                            if child is None:
+                                stack.append((node.gap(), chain, None, None))
+                            else:
+                                stack.append((child, chain, False, group))
+                    continue
+            # every class under `node`
             if node.owners or node.acl or node.xform:
-                chain = extend(node, chain)
+                chain += (_entry(node, width),)
+                if node.xform:
+                    has_xform = True
                 covered = True
             zero, one = node.zero, node.one
             if zero is None and one is None:
                 classes.append(node.prefix())
                 chains.append(chain)
-                return
+                continue
             covered = covered or node.marker
-            for child in (zero, one):
-                if child is not None:
-                    visits += 1
-                    collect(child, chain, covered)
-                elif covered:
-                    visits += 1
-                    classes.append(node.gap())
-                    chains.append(chain)
-
-        def seek(node: TrieNode, chain: tuple, targets: list[Prefix]) -> None:
-            nonlocal visits
-            # walk the path every target shares, then split where they diverge
-            lead = targets[0]
-            value, length = lead.value, lead.length
-            shared = length
-            for p in targets:
-                k = min(length, p.length)
-                diff = (value >> (length - k)) ^ (p.value >> (p.length - k))
-                shared = min(shared, k - diff.bit_length())
-            for shift in range(length - 1 - node.depth, length - 1 - shared, -1):
-                child = node.one if value >> shift & 1 else node.zero
-                if child is None:
-                    break                       # the targets left the trie here
-                if node.owners or node.acl or node.xform:
-                    chain = extend(node, chain)
-                node = child
+            if one is not None:
                 visits += 1
-            zero, one = node.zero, node.one
-            if zero is None and one is None:
-                collect(node, chain, False)     # a leaf is its own class
-            elif node.depth == shared and any(p.length == shared for p in targets):
-                collect(node, chain, self._covered(node))
-            elif (zero is None or one is None) and not self._covered(node):
-                collect(node, chain, False)     # clamp to the deepest node
-            else:
-                # split the targets by their next bit; a side with no child
-                # is an induced class, which holds that side's targets
-                groups = ([], [])
-                for p in targets:
-                    groups[p.bit(node.depth)].append(p)
-                if node.owners or node.acl or node.xform:
-                    chain = extend(node, chain)
-                for bit, child in ((0, zero), (1, one)):
-                    if groups[bit]:
-                        visits += 1
-                        if child is not None:
-                            seek(child, chain, groups[bit])
-                        else:
-                            classes.append(node.gap())
-                            chains.append(chain)
-
-        if prefixes:
-            visits = 1
-            seek(self.root, (), list(prefixes))
+                stack.append((one, chain, covered, None))
+            elif covered:
+                visits += 1
+                stack.append((node.gap(), chain, None, None))
+            if zero is not None:
+                visits += 1
+                stack.append((zero, chain, covered, None))
+            elif covered:
+                visits += 1
+                classes.append(node.gap())      # before the one side, still on the stack
+                chains.append(chain)
         self.last_affected_visits = visits
 
-        return AffectedSets(
-            classes=tuple(classes),
-            class_ranges=tuple(p.range(width) for p in classes),
-            width=width,
-            chains=tuple(chains),
-            has_transforms=has_xform,
-        )
+        return _filled(AffectedSets, {
+            "classes": tuple(classes),
+            "class_ranges": tuple([p.range(width) for p in classes]),
+            "width": width,
+            "chains": tuple(chains),
+            "has_transforms": has_xform,
+        })
 
     # ------------------------------------------------------------------
     # introspection

@@ -17,11 +17,11 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
-from .dataset import NetworkSpec, UpdateEvent
+from .dataset import PORT_LIMIT, NetworkSpec, UpdateEvent
 from .errors import (AlignmentDiverged, DimensionMismatch, InfeasibleParameters,
                      PbrProtected, UnknownLink, UnknownRouter)
 from .prefixes import ROOT, Prefix
-from .trie import AffectedSets, HeaderTrie, UpdateOutcome, chain_port
+from .trie import AffectedSets, HeaderTrie, UpdateOutcome, _filled, chain_port
 from .vectors import (ForwardingVector, StateVector, TransformMatrix,
                       apply_transform, mask_of)
 
@@ -209,17 +209,8 @@ class RouterMemo:
     __slots__ = ("pending", "uncounted", "by_port", "keys", "port_of", "groups",
                  "linked", "dropped", "union", "permit", "xform")
 
-    def __init__(self, m: int):
-        self.pending = self.uncounted = (1 << m) - 1
-        self.by_port: dict[int, int] = {}
-        self.keys: frozenset[tuple[str, int]] = frozenset()
-        self.port_of = [-1] * m
-        self.groups: dict[int, tuple[int, str]] = {}
-        self.linked = 0
-        self.dropped = 0
-        self.union = 0
-        self.permit: int | None = None
-        self.xform: TransformMatrix | None = None
+    # No __init__: `VerificationSession._extend` creates a memo on a router's
+    # first resolution and writes every slot once, ``pending`` last.
 
     def split(self, bits: int) -> list[tuple[int, str]]:
         """Where the resolved classes `bits` leave over links: the
@@ -323,83 +314,108 @@ class VerificationSession:
         if `count`, to count their ports in ``keys``."""
         with self._lock:
             memo = self.memo.get(router)
-            fresh = memo is None
-            if fresh:
-                memo = RouterMemo(self.m)
+            if memo is None:                    # published once every field is written
+                memo = self.memo[router] = self._extend(router, None, bits,
+                                                        0 if count else bits)
+                return memo
             need = bits & memo.pending
             was = memo.uncounted & ~memo.pending        # resolved ahead
             ahead = was & ~bits if count else was | need
             if need or ahead != was:
                 self._extend(router, memo, need, ahead)
-            if fresh:
-                self.memo[router] = memo
         return memo
 
-    def _extend(self, router: str, memo: RouterMemo, need: int, ahead: int) -> None:
+    def _extend(self, router: str, memo: RouterMemo | None, need: int,
+                ahead: int) -> RouterMemo:
+        """Resolve the classes of `need` at `router` into `memo`, or into a
+        new memo when it is None, and return it. `ahead` becomes the
+        resolved classes whose ports ``keys`` does not count. One pass over
+        the classes' chains gives each new port's class mask; every field
+        is then written once, ``pending`` last."""
+        m = self.m
+        if memo is None:
+            memo = RouterMemo()
+            port_of = [-1] * m
+            pending = (1 << m) - 1
+            had, counted_ports, dropped, union, permit, xform = None, 0, 0, 0, None, None
+        else:
+            port_of = memo.port_of
+            pending = memo.pending
+            had, counted_ports = memo.by_port, len(memo.keys)
+            dropped, union, permit, xform = memo.dropped, memo.union, memo.permit, memo.xform
         chains = self.affected.chains
-        port_of = memo.port_of
-        found: dict[int, list[int]] = {}      # port -> newly resolved classes
-        denied: list[int] = []
+        found: dict[int, int] = {}            # port -> its newly resolved classes
+        denied = 0
         columns: dict[int, int] = {}
-        for j in _set_bits(need):
+        if need & (need - 1):
+            js = _set_bits(need)
+        else:                                   # one class, or none
+            js = (need.bit_length() - 1,) if need else ()
+        for j in js:
             # the deepest entry naming the router wins, per kind of rule
-            port = permit = out = None
+            port = allow = out = None
             for entry in reversed(chains[j]):
                 if port is None:
-                    port = chain_port(entry, router)
-                if permit is None:
-                    permit = entry[3].get(router)
-                if out is None:
+                    port = entry[0].get(router)
+                    if len(entry[1]) > entry[2]:    # written since capture
+                        port = chain_port(entry, router)
+                if allow is None and entry[3]:
+                    allow = entry[3].get(router)
+                if out is None and entry[4]:
                     out = entry[4].get(router)
                     if out is not None:
                         columns[j] = self._image(j, entry[5], out)
-                if port is not None and permit is not None and out is not None:
+                if port is not None and allow is not None and out is not None:
                     break
             if port is not None:
-                found.setdefault(port, []).append(j)
+                found[port] = found.get(port, 0) | 1 << j
                 port_of[j] = port               # no reader looks at j before pending shrinks
-            if permit is not None and not permit:
-                denied.append(j)
-        m = self.m
-        masks = dict(memo.by_port)
+            if allow is not None and not allow:
+                denied |= 1 << j
         routed = 0
-        for port, js in found.items():
-            mask = 1 << js[0] if len(js) == 1 else mask_of(js, m)
-            masks[port] = masks.get(port, 0) | mask
+        for mask in found.values():
             routed |= mask
+        if had:
+            by_port = dict(had)
+            for port, mask in found.items():
+                by_port[port] = by_port.get(port, 0) | mask
+            if len(by_port) > len(had):         # a new port: back to ascending order
+                by_port = dict(sorted(by_port.items()))
+        else:
+            by_port = found if len(found) < 2 else dict(sorted(found.items()))
         peers = self.topology.peers[router]
-        by_port: dict[int, int] = {}
         groups: dict[int, tuple[int, str]] = {}
         linked = 0
         keys = []
         counted = ~ahead
-        for port, mask in sorted(masks.items()):
-            by_port[port] = mask
+        for port, mask in by_port.items():
             if mask & counted:
                 keys.append((router, port))
             peer = peers.get(port)
             if peer is not None:
                 groups[port] = (mask, peer)
                 linked |= mask
-        grown = len(keys) > len(memo.keys)
+        if denied:
+            permit = ((1 << m) - 1 if permit is None else permit) & ~denied
+        if columns:
+            if xform is not None:
+                columns = {**xform.columns, **columns}
+            xform = TransformMatrix(m, columns)
+        memo.port_of = port_of
         memo.by_port = by_port
         memo.keys = frozenset(keys)
-        if grown:                               # after the keys: see `_hit`
+        if len(keys) > counted_ports:           # after the keys: see `_hit`
             sets, ports = self._stamp
             self._stamp = (sets, ports + 1)
         memo.groups = groups
         memo.linked = linked
-        memo.dropped |= need & ~routed
-        memo.union |= routed
-        if denied:
-            permit = (1 << m) - 1 if memo.permit is None else memo.permit
-            memo.permit = permit & ~mask_of(denied, m)
-        if columns:
-            if memo.xform is not None:
-                columns = {**memo.xform.columns, **columns}
-            memo.xform = TransformMatrix(m, columns)
-        memo.uncounted = (memo.pending & ~need) | ahead
-        memo.pending &= ~need
+        memo.dropped = dropped | need & ~routed
+        memo.union = union | routed
+        memo.permit = permit
+        memo.xform = xform
+        memo.uncounted = (pending & ~need) | ahead
+        memo.pending = pending & ~need
+        return memo
 
     def enter(self, router: str, bits: int, count: bool = True) -> tuple[RouterMemo, int]:
         """One hop's prologue: the classes of `bits` that pass the router's
@@ -531,29 +547,23 @@ def verify_reachability(session: VerificationSession, src: str, dst: str,
     if max_hops is not None and max_hops < 0:
         raise InfeasibleParameters(f"max_hops must be >= 0, got {max_hops}")
     start = _start_bits(session, (src, dst), b_init)
-    m = session.m
     if src == dst:
-        vector = StateVector(start, m)
-        return ReachabilityReport(
-            per_path=(PathResult((src,), vector, ()),), total_paths=1,
-            paths_explored=1, truncated=False, reachable_vector=vector,
-            classes=session.classes)
-    default = unlimited and start == (1 << m) - 1
+        return _reach_report(session, [(src, start, (src,), (), ())], 1, False)
+    default = unlimited and start == (1 << session.m) - 1
     if default:
-        asked = session.reach.get(src)
-        kept = None if asked is None else asked.get(dst)
-        if kept is not None:
-            return _hit(session, kept)
+        if b_init is not None:                  # an all-ones `b_init`: not checked above
+            kept = session.reach.get(src, {}).get(dst)
+            if kept is not None:
+                return _hit(session, kept)
         source = session.sources.get(src)
         if source is not None:
             return _hit(session, _first_ask(session, src, dst, source))
-    nodes, entered, _, truncated = _search(session, [(src, start, (src,), (), ())], dst,
-                                           max_paths, max_hops)
+    nodes, entered, found, truncated = _search(session, [(src, start, (src,), (), ())], dst,
+                                               max_paths, max_hops)
     _add_touched(session, {node[0] for node in entered})
     if default:
         session.sources.setdefault(src, (dst, nodes, entered))
-    return _reach_report(session, [node for node in nodes if node[0] == dst],
-                         len(nodes), truncated)
+    return _reach_report(session, found, len(nodes), truncated)
 
 
 def _first_ask(session: VerificationSession, src: str, dst: str,
@@ -579,13 +589,14 @@ def _search(session: VerificationSession, stack: list[tuple], dst: str,
     """Depth-first search from the nodes on `stack` (the last first).
 
     Returns the nodes it popped, in that order, the nodes it entered (whose
-    router `enter` let some class through), what it resolved ahead, and
-    whether a limit cut it short. A node is ``(router, incoming bits, path,
-    errors, states)``: ``path`` holds the routers from the source to the
-    node, ``errors`` one ``(router, error)`` pair per hop, the l2 norm of
-    the live classes the router did not send on to the next, each pair one
-    object shared by every path through its link; with rewrites,
-    ``states`` holds the ancestors' ``(router, incoming bits)`` pairs.
+    router `enter` let some class through), the nodes it popped at `dst`
+    or, if `whole`, what it resolved ahead, and whether a limit cut it
+    short. A node is ``(router, incoming bits, path, errors, states)``:
+    ``path`` holds the routers from the source to the node, ``errors``
+    one ``(router, error)`` pair per hop, the l2 norm of the live classes
+    the router did not send on to the next, each pair one object shared by
+    every path through its link; with rewrites, ``states`` holds the
+    ancestors' ``(router, incoming bits)`` pairs.
     Children are pushed in link order, each pruned when its router is on
     the path (its state among the states, with rewrites).
 
@@ -601,16 +612,15 @@ def _search(session: VerificationSession, stack: list[tuple], dst: str,
     sqrt = math.sqrt
     nodes: list[tuple] = []
     entered: list[tuple] = []
-    ahead: list[tuple] = []
+    found: list[tuple] = []                 # at `dst` or, if `whole`, resolved ahead
     truncated = False
-    found = 0
     while stack:
         node = stack.pop()
         nodes.append(node)
         r, bits, path, errs, states = node
         if r == dst and not whole:
-            found += 1
-            if found == max_paths:
+            found.append(node)
+            if len(found) == max_paths:
                 truncated = True
                 break
             continue
@@ -621,7 +631,7 @@ def _search(session: VerificationSession, stack: list[tuple], dst: str,
             e, b1 = enter(r, bits, False)
             resolved = bits if e.xform is None else bits | b1
             if resolved & e.uncounted:
-                ahead.append((path, r, resolved))
+                found.append((path, r, resolved))
         else:
             e, b1 = enter(r, bits)
         if not b1:
@@ -633,7 +643,7 @@ def _search(session: VerificationSession, stack: list[tuple], dst: str,
             if ((nr, out) not in states) if by_state else (nr not in path):
                 stack.append((nr, out, path + (nr,),
                               errs + ((r, sqrt((b1 ^ out).bit_count())),), states))
-    return nodes, entered, ahead, truncated
+    return nodes, entered, found, truncated
 
 
 class _Source:
@@ -730,15 +740,15 @@ def _reach_report(session: VerificationSession, found: list[tuple], explored: in
         union = 0
         for node in found:
             union |= node[1]
-    return ReachabilityReport(
-        per_path=tuple([PathResult(path, StateVector(bits, m), errs)
-                        for _, bits, path, errs, _ in found]),
-        total_paths=len(found),
-        paths_explored=explored,
-        truncated=truncated,
-        reachable_vector=StateVector(union, m),
-        classes=session.classes,
-    )
+    return _filled(ReachabilityReport, {
+        "per_path": tuple([PathResult(path, StateVector(bits, m), errs)
+                           for _, bits, path, errs, _ in found]),
+        "total_paths": len(found),
+        "paths_explored": explored,
+        "truncated": truncated,
+        "reachable_vector": StateVector(union, m),
+        "classes": session.classes,
+    })
 
 
 class _Kept:
@@ -828,10 +838,11 @@ def _loop(session: VerificationSession, src: str, start: int) -> _Kept:
         for out, nr in e.split(b1):
             if nr in new_path:
                 cycle = new_path[new_path.index(nr):]
-                return _Kept(LoopReport(cycle=cycle, mask=out, classes=session.classes),
+                return _Kept(_filled(LoopReport, {"cycle": cycle, "mask": out,
+                                                  "classes": session.classes}),
                              _router_mask(session, entered))
             stack.append((nr, out, new_path))
-    return _Kept(LoopReport(cycle=None, mask=0, classes=session.classes),
+    return _Kept(_filled(LoopReport, {"cycle": None, "mask": 0, "classes": session.classes}),
                  _router_mask(session, entered))
 
 
@@ -888,8 +899,8 @@ def _blackholes(session: VerificationSession, src: str, start: int) -> _Kept:
                     waiting[nr] = new
                     queue.append(nr)
     classes = session.classes
-    reports = tuple(BlackholeReport(router=r, mask=bits, classes=classes)
-                    for r, bits in sorted(holes.items()))
+    reports = tuple([_filled(BlackholeReport, {"router": r, "mask": bits, "classes": classes})
+                     for r, bits in sorted(holes.items())])
     return _Kept(reports, _router_mask(session, entered))
 
 
@@ -1059,7 +1070,10 @@ class NetworkState:
         if not pbr and event.prefix in self.protected:
             raise PbrProtected(f"{event.prefix} is PBR-protected")
         if event.op == "insert":
-            outcome = self.trie.insert_header(event.prefix, (event.router, event.port))
+            port = event.port
+            if type(port) is not int or not 0 <= port < PORT_LIMIT:
+                raise InfeasibleParameters(f"port {port!r} is not an int in [0, 2**24)")
+            outcome = self.trie.insert_header(event.prefix, (event.router, port))
         else:
             outcome = self.trie.delete_header(event.prefix, (event.router, event.port))
         if outcome.shape_changed and self._loaded.transforms:

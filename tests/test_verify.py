@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from netvec.dataset import (NetworkSpec, UpdateEvent, generate_synthetic, parse_network,
                             serialize_network)
 from netvec.errors import (InfeasibleParameters, NotFound, PbrProtected,
-                           UnknownLink, UnknownRouter)
+                           PrefixTooLong, UnknownLink, UnknownRouter)
 from netvec.oracle import blackhole_events, looped_headers, simulate_all
-from netvec.prefixes import Prefix
+from netvec.prefixes import ROOT, Prefix
 from netvec import trie as trie_module
 from netvec.trie import LOG_SLACK, HeaderTrie, chain_port
 from netvec.vectors import StateVector
@@ -779,6 +779,41 @@ def test_memo_publishes_fields_before_pending_shrinks(monkeypatch):
     assert session.memo["Y"].pending == 0
 
 
+def _memo_fields(memo) -> tuple:
+    """A memo's resolved fields, `by_port` and `groups` in their order."""
+    return (list(memo.by_port.items()), memo.port_of, list(memo.groups.items()),
+            memo.linked, memo.dropped, memo.union, memo.permit,
+            None if memo.xform is None else dict(memo.xform.columns), memo.keys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.randoms(use_true_random=False))
+def test_one_call_resolves_a_memo_as_class_by_class_and_split_calls_do(seed, scoped, rng):
+    spec = random_small_network(seed, gap_fraction=0.15, back_edges=1, n_acls=3,
+                                n_transforms=2)
+    state = NetworkState.from_spec(spec)
+    prefix = ROOT
+    if scoped:                  # an update's session: the classes under one rule's prefix
+        prefix = rng.choice(sorted({p for t in spec.rules.values() for p in t},
+                                   key=lambda p: (p.value, p.length)))
+    affected = state.affected_for(prefix)
+    whole, by_class, split = (state.session(affected=affected) for _ in range(3))
+    m = whole.m
+    for router in spec.routers:
+        want = _memo_fields(whole.resolve(router, (1 << m) - 1))
+        order = list(range(m))
+        rng.shuffle(order)
+        for j in order:
+            by_class.resolve(router, 1 << j)
+        assert _memo_fields(by_class.memo[router]) == want, (seed, router)
+        rng.shuffle(order)
+        while order:
+            cut = rng.randint(1, len(order))
+            split.resolve(router, sum(1 << j for j in order[:cut]))
+            del order[:cut]
+        assert _memo_fields(split.memo[router]) == want, (seed, router)
+
+
 # ----------------------------------------------------------------------
 # reports keep their masks and decode their class sets on first read
 
@@ -1310,6 +1345,27 @@ def test_unknown_op_leaves_the_trie_unchanged():
                              UpdateEvent("insert", r, p2, port2 + 1, 1),
                              UpdateEvent("move", r, p2, port2, 2)], r, dst)
     assert state.trie.snapshot() == before
+    # a port the parser would reject: not an int, or outside [0, 2**24)
+    for port in ("3", -5, 2**24, 2**30, 1.0, None):
+        with pytest.raises(InfeasibleParameters):
+            state.apply_update(UpdateEvent("insert", r, Prefix(1, 1), port, 0))
+        assert state.trie.snapshot() == before
+        with pytest.raises(InfeasibleParameters):
+            batch_update(state, [UpdateEvent("delete", r, p1, port1, 0),
+                                 UpdateEvent("insert", r, p2, port2 + 1, 1),
+                                 UpdateEvent("insert", r, p2, port, 2)], r, dst)
+        assert state.trie.snapshot() == before
+    # a prefix longer than the width, as inserts already report it
+    long = Prefix(p1.value << (spec.width + 1 - p1.length), spec.width + 1)
+    for op in ("insert", "delete"):
+        with pytest.raises(PrefixTooLong):
+            state.apply_update(UpdateEvent(op, r, long, port1, 0))
+        assert state.trie.snapshot() == before
+        with pytest.raises(PrefixTooLong):
+            batch_update(state, [UpdateEvent("delete", r, p1, port1, 0),
+                                 UpdateEvent(op, r, long, port1, 1)], r, dst)
+        assert state.trie.snapshot() == before
+    verify_reachability(state.session(), r, dst)
 
 
 def test_state_never_changes_the_loaded_spec():
