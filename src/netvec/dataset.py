@@ -23,6 +23,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import length_hint
 
 from .errors import DuplicateEdge, InfeasibleParameters, ParseError
 from .prefixes import Prefix, format_prefix, parse_prefix
@@ -91,23 +92,24 @@ class CdfSummary:
 # ----------------------------------------------------------------------
 # parsing
 
-def _lines(text: str):
-    """(1-based line number, words) of each line that holds more than a
-    `#` comment."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        if parts:
-            yield lineno, parts
+def _decimal(token: str, what: str) -> int:
+    """A width or port token: ASCII decimal digits only, so a sign,
+    underscores and other scripts' digits, which `int` takes, are errors."""
+    digits = token.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"bad {what} {token!r}")
+    if token.startswith("-"):
+        raise ParseError(f"{what} must be non-negative")
+    return int(token)
 
 
-def _int_at(lineno: int, token: str, what: str) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise ParseError(f"bad {what} {token!r}", line=lineno) from None
-    if value < 0:
-        raise ParseError(f"{what} must be non-negative", line=lineno)
-    return value
+def _uncommented(text: str) -> list[str]:
+    """The lines of `text`, each cut at its first `#`; a text with no `#`
+    is not scanned again line by line."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.partition("#")[0] for raw in lines]
+    return lines
 
 
 class _Tokens:
@@ -115,8 +117,10 @@ class _Tokens:
 
     Equal prefix tokens yield the same `Prefix` object, which the tables and
     the trie then share. The memo lives for one call because the width is
-    fixed per call. A token that fails is not cached, so it reports the line
-    it first appears on.
+    fixed per call. The parsers read `prefixes` and `ports` inline and call
+    `prefix`/`port` on a miss. A token that fails is not cached, so it
+    reports the line it first appears on. Errors carry no line; the parser
+    adds it.
     """
 
     __slots__ = ("width", "prefixes", "ports")
@@ -126,21 +130,18 @@ class _Tokens:
         self.prefixes: dict[str, Prefix] = {}
         self.ports: dict[str, int] = {}
 
-    def prefix(self, lineno: int, token: str) -> Prefix:
+    def prefix(self, token: str) -> Prefix:
         pfx = self.prefixes.get(token)
         if pfx is None:
-            try:
-                pfx = self.prefixes[token] = parse_prefix(token, self.width)
-            except ParseError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+            pfx = self.prefixes[token] = parse_prefix(token, self.width)
         return pfx
 
-    def port(self, lineno: int, token: str) -> int:
+    def port(self, token: str) -> int:
         port = self.ports.get(token)
         if port is None:
-            port = _int_at(lineno, token, "port")
+            port = _decimal(token, "port")
             if port >= PORT_LIMIT:
-                raise ParseError("port numbers are limited to 24 bits", line=lineno)
+                raise ParseError("port numbers are limited to 24 bits")
             self.ports[token] = port
         return port
 
@@ -148,98 +149,118 @@ class _Tokens:
 def parse_network(text: str) -> NetworkSpec:
     """Parse the line format above; diagnostics carry 1-based line numbers.
 
-    Each distinct prefix and port token is parsed once per call, so the
-    cost follows the lines plus the distinct prefixes, and equal prefixes
-    share one `Prefix` object.
+    One loop reads every line. RULE and EDGE lines, nearly all of a large
+    file, are tested first and read the prefix, port and router memos
+    inline; each distinct prefix and port token is parsed once per call, so
+    the cost follows the lines plus the distinct prefixes, and equal
+    prefixes share one `Prefix` object. Checks raise without a line number;
+    the handler at the end counts it from the lines not yet read, so no
+    counter runs per line.
     """
-    def err(lineno, msg):
-        raise ParseError(msg, line=lineno)
-
-    lines = _lines(text)
-    for lineno, parts in lines:          # the first directive fixes the width
-        if parts[0] != "WIDTH":
-            err(lineno, "first directive must be WIDTH")
-        if len(parts) != 2:
-            err(lineno, "WIDTH takes one argument")
-        width = _int_at(lineno, parts[1], "width")
-        if not 1 <= width <= MAX_WIDTH:
-            err(lineno, f"width {width} outside [1, {MAX_WIDTH}]")
-        break
-    else:
-        return NetworkSpec(width=32)
-    spec = NetworkSpec(width=width)
-    rules = spec.rules
-    tokens = _Tokens(width)
-    names: dict[str, str] = {}           # one string per router, shared by edges and tables
-    linked: dict[str, set[int]] = {}     # router -> its ports in EDGE lines
-    for lineno, parts in lines:
-        kw = parts[0]
-        if kw == "RULE" or kw == "PBR":
-            if len(parts) != 4:
-                err(lineno, f"{kw} takes 3 arguments")
-            r = parts[1]
-            table = rules.get(r)
-            if table is None:
-                err(lineno, f"unknown router {r!r}")
-            pfx = tokens.prefix(lineno, parts[2])
-            port = tokens.port(lineno, parts[3])
-            if table.setdefault(pfx, port) != port:
-                err(lineno, f"conflicting rule for {parts[2]} at {r!r}")
-            if kw == "PBR":
-                spec.pbr.add((r, pfx))
-        elif kw == "WIDTH":
-            err(lineno, "duplicate WIDTH directive")
-        elif kw == "NODE":
-            if len(parts) != 2:
-                err(lineno, "NODE takes one argument")
-            name = parts[1]
-            if name in rules:
-                err(lineno, f"duplicate router {name!r}")
-            spec.routers.append(name)
-            rules[name] = {}
-            names[name] = name
-            linked[name] = set()
-        elif kw == "EDGE":
-            if len(parts) != 5:
-                err(lineno, "EDGE takes 4 arguments")
-            pa = tokens.port(lineno, parts[2])
-            pb = tokens.port(lineno, parts[4])
-            a, b = names.get(parts[1]), names.get(parts[3])
-            if a is None or b is None:
-                err(lineno, f"unknown router {parts[1] if a is None else parts[3]!r}")
-            if a == b:
-                err(lineno, "self-loop edge")
-            for end, port in ((a, pa), (b, pb)):
-                ports = linked[end]
-                if port in ports:
-                    raise DuplicateEdge(f"port {port} of {end!r} already linked",
-                                        line=lineno)
-                ports.add(port)
-            spec.edges.append((a, pa, b, pb))
-        elif kw == "ACL":
-            if len(parts) != 4 or parts[3] not in ("permit", "deny"):
-                err(lineno, "ACL takes: router prefix permit|deny")
-            r = names.get(parts[1])
-            if r is None:
-                err(lineno, f"unknown router {parts[1]!r}")
-            pfx = tokens.prefix(lineno, parts[2])
-            permit = parts[3] == "permit"
-            if spec.acls.setdefault(r, {}).setdefault(pfx, permit) != permit:
-                err(lineno, f"conflicting ACL action for {parts[2]} at {r!r}")
-        elif kw == "XFORM":
-            if len(parts) != 5 or parts[3] != "->":
-                err(lineno, "XFORM takes: router match -> out")
-            r = names.get(parts[1])
-            if r is None:
-                err(lineno, f"unknown router {parts[1]!r}")
-            match = tokens.prefix(lineno, parts[2])
-            out = tokens.prefix(lineno, parts[4])
-            if match.length != out.length:
-                err(lineno, "rewrite requires equal prefix lengths")
-            if spec.transforms.setdefault(r, {}).setdefault(match, out) != out:
-                err(lineno, f"conflicting rewrite for {parts[2]} at {r!r}")
+    lines = _uncommented(text)
+    rest = iter(lines)
+    try:
+        for parts in map(str.split, rest):   # the first directive fixes the width
+            if parts:
+                break
         else:
-            err(lineno, f"unknown directive {kw!r}")
+            return NetworkSpec(width=32)
+        if parts[0] != "WIDTH":
+            raise ParseError("first directive must be WIDTH")
+        if len(parts) != 2:
+            raise ParseError("WIDTH takes one argument")
+        width = _decimal(parts[1], "width")
+        if not 1 <= width <= MAX_WIDTH:
+            raise ParseError(f"width {width} outside [1, {MAX_WIDTH}]")
+        spec = NetworkSpec(width=width)
+        rules, edges, pbr = spec.rules, spec.edges, spec.pbr
+        tokens = _Tokens(width)
+        prefixes, ports = tokens.prefixes, tokens.ports
+        names: dict[str, str] = {}           # one string per router, shared by edges and tables
+        linked: dict[str, set[int]] = {}     # router -> its ports in EDGE lines
+        for parts in map(str.split, rest):
+            if not parts:
+                continue
+            kw = parts[0]
+            if kw == "RULE" or kw == "PBR":
+                if len(parts) != 4:
+                    raise ParseError(f"{kw} takes 3 arguments")
+                _, r, ptok, qtok = parts
+                table = rules.get(r)
+                if table is None:
+                    raise ParseError(f"unknown router {r!r}")
+                pfx = prefixes.get(ptok)
+                if pfx is None:
+                    pfx = tokens.prefix(ptok)
+                port = ports.get(qtok)
+                if port is None:
+                    port = tokens.port(qtok)
+                if table.setdefault(pfx, port) != port:
+                    raise ParseError(f"conflicting rule for {ptok} at {r!r}")
+                if kw == "PBR":
+                    pbr.add((r, pfx))
+            elif kw == "EDGE":
+                if len(parts) != 5:
+                    raise ParseError("EDGE takes 4 arguments")
+                _, atok, patok, btok, pbtok = parts
+                pa = ports.get(patok)
+                if pa is None:
+                    pa = tokens.port(patok)
+                pb = ports.get(pbtok)
+                if pb is None:
+                    pb = tokens.port(pbtok)
+                a, b = names.get(atok), names.get(btok)
+                if a is None or b is None:
+                    raise ParseError(f"unknown router {atok if a is None else btok!r}")
+                if a == b:
+                    raise ParseError("self-loop edge")
+                taken = linked[a]
+                if pa in taken:
+                    raise DuplicateEdge(f"port {pa} of {a!r} already linked")
+                taken.add(pa)
+                taken = linked[b]
+                if pb in taken:
+                    raise DuplicateEdge(f"port {pb} of {b!r} already linked")
+                taken.add(pb)
+                edges.append((a, pa, b, pb))
+            elif kw == "NODE":
+                if len(parts) != 2:
+                    raise ParseError("NODE takes one argument")
+                name = parts[1]
+                if name in rules:
+                    raise ParseError(f"duplicate router {name!r}")
+                spec.routers.append(name)
+                rules[name] = {}
+                names[name] = name
+                linked[name] = set()
+            elif kw == "ACL":
+                if len(parts) != 4 or parts[3] not in ("permit", "deny"):
+                    raise ParseError("ACL takes: router prefix permit|deny")
+                r = names.get(parts[1])
+                if r is None:
+                    raise ParseError(f"unknown router {parts[1]!r}")
+                pfx = tokens.prefix(parts[2])
+                permit = parts[3] == "permit"
+                if spec.acls.setdefault(r, {}).setdefault(pfx, permit) != permit:
+                    raise ParseError(f"conflicting ACL action for {parts[2]} at {r!r}")
+            elif kw == "XFORM":
+                if len(parts) != 5 or parts[3] != "->":
+                    raise ParseError("XFORM takes: router match -> out")
+                r = names.get(parts[1])
+                if r is None:
+                    raise ParseError(f"unknown router {parts[1]!r}")
+                match = tokens.prefix(parts[2])
+                out = tokens.prefix(parts[4])
+                if match.length != out.length:
+                    raise ParseError("rewrite requires equal prefix lengths")
+                if spec.transforms.setdefault(r, {}).setdefault(match, out) != out:
+                    raise ParseError(f"conflicting rewrite for {parts[2]} at {r!r}")
+            elif kw == "WIDTH":
+                raise ParseError("duplicate WIDTH directive")
+            else:
+                raise ParseError(f"unknown directive {kw!r}")
+    except ParseError as exc:
+        raise type(exc)(str(exc), line=len(lines) - length_hint(rest)) from None
     return spec
 
 
@@ -274,17 +295,30 @@ def serialize_network(spec: NetworkSpec) -> str:
 
 
 def parse_update_stream(text: str, width: int) -> list[UpdateEvent]:
-    """Parse `+`/`-` lines; prefix and port tokens are checked and shared as
-    in `parse_network`."""
+    """Parse `+`/`-` lines; prefix and port tokens are checked and shared,
+    and line numbers added, as in `parse_network`."""
+    lines = _uncommented(text)
     tokens = _Tokens(width)
+    prefixes, ports = tokens.prefixes, tokens.ports
     events = []
-    for lineno, parts in _lines(text):
-        if len(parts) != 4 or parts[0] not in ("+", "-"):
-            raise ParseError("update line is: +|- router prefix port", line=lineno)
-        pfx = tokens.prefix(lineno, parts[2])
-        port = tokens.port(lineno, parts[3])
-        op = "insert" if parts[0] == "+" else "delete"
-        events.append(UpdateEvent(op, parts[1], pfx, port, seq=len(events)))
+    rest = iter(lines)
+    try:
+        for parts in map(str.split, rest):
+            if not parts:
+                continue
+            if len(parts) != 4 or parts[0] not in ("+", "-"):
+                raise ParseError("update line is: +|- router prefix port")
+            sign, router, ptok, qtok = parts
+            pfx = prefixes.get(ptok)
+            if pfx is None:
+                pfx = tokens.prefix(ptok)
+            port = ports.get(qtok)
+            if port is None:
+                port = tokens.port(qtok)
+            op = "insert" if sign == "+" else "delete"
+            events.append(UpdateEvent(op, router, pfx, port, seq=len(events)))
+    except ParseError as exc:
+        raise ParseError(str(exc), line=len(lines) - length_hint(rest)) from None
     return events
 
 

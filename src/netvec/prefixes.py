@@ -74,16 +74,20 @@ ROOT = Prefix(0, 0)
 def parse_prefix(text: str, width: int) -> Prefix:
     """Parse `bits/len` (binary) or dotted-quad CIDR (only when width is 32).
 
-    Raises ParseError on malformed input or when the length exceeds `width`.
+    The length is ASCII decimal digits: a sign, underscores and other
+    scripts' digits, which `int` takes, are errors. Raises ParseError on
+    malformed input or when the length exceeds `width`.
     """
     body, sep, len_part = text.partition("/")
     if not sep:
         raise ParseError(f"prefix {text!r} missing '/len'")
-    try:
-        length = int(len_part)
-    except ValueError:
-        raise ParseError(f"bad prefix length in {text!r}") from None
-    if length < 0 or length > width:
+    digits = len_part.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"bad prefix length in {text!r}")
+    length = int(digits)
+    if len_part.startswith("-"):
+        raise ParseError(f"prefix length -{length} outside [0, {width}]")
+    if length > width:
         raise ParseError(f"prefix length {length} outside [0, {width}]")
     if "." in body:
         if width != 32:

@@ -277,6 +277,22 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2 and "WIDTH" in err
 
 
+@pytest.mark.parametrize("bad,message", [
+    ("RULE A 0/1 1_0", "bad port '1_0'"),
+    ("RULE A 0/+1 1", "bad prefix length in '0/+1'"),
+])
+def test_load_non_decimal_token_exits_2(tmp_path, bad, message):
+    f = tmp_path / "bad.net"
+    f.write_text(f"WIDTH 3\nNODE A\n# the fault is on line 5\n\n{bad}\nNODE B\n",
+                 encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-m", "netvec", "load", str(f)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr == f"input error: line 5: {message}\n"
+    assert done.stdout == ""
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "load", "/does/not/exist.net")
     assert code == 2

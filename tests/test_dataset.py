@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from collections import deque
 
 import pytest
@@ -47,12 +48,109 @@ def test_parse_comments_and_blanks():
     ("WIDTH 3\nNODE A\nXFORM A 0/1 -> 00/2\n", "equal prefix lengths"),
     ("WIDTH 3\nNODE A\nACL A 0/1 block\n", "permit|deny"),
     ("WIDTH 3\nWIDTH 3\n", "duplicate WIDTH"),
+    ("WIDTH 3_2\n", "bad width '3_2'"),
+    ("WIDTH 32\nNODE A\nRULE A 10.0.0.0/+8 \u0663\n", "bad prefix length"),
+    ("WIDTH 32\nNODE A\nRULE A 10.0.0.0/8 \u0663\n", "bad port"),
+    ("WIDTH 3\nNODE A\nRULE A 0/1 1_0\n", "bad port '1_0'"),
 ])
 def test_parse_diagnostics(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_network(text)
     assert fragment in str(err.value)
-    assert err.value.line is not None
+    assert err.value.line == text.count("\n")      # each fault is its text's last line
+
+
+# Lines 1-10; the fault of each case below is on line 11, and a valid
+# line follows it.
+HEAD = ("# a network\n"
+        "\n"
+        "WIDTH 3   # bits\n"
+        "NODE A\n"
+        "   \n"
+        "NODE B  # peer\n"
+        "EDGE A 0 B 0\n"
+        "RULE A 01/2 1\n"
+        "# the fault follows\n"
+        "\n")
+TAIL = "RULE B 1/1 0\n"
+
+
+def _at_fault(cases):
+    """Each case named by its fault's line number and text."""
+    return [pytest.param(text, line, message, id=f"{line}:{text.splitlines()[line - 1]}")
+            for text, line, message in cases]
+
+
+@pytest.mark.parametrize("text,line,message", _at_fault([
+    # the first directive: position, arity, token, range
+    ("NODE A\n", 1, "first directive must be WIDTH"),
+    ("# c\n\n  NODE A\nWIDTH 3\n", 3, "first directive must be WIDTH"),
+    ("\nWIDTH\n", 2, "WIDTH takes one argument"),
+    ("# c\nWIDTH 3 4\n", 2, "WIDTH takes one argument"),
+    ("\n\nWIDTH 0\n", 3, "width 0 outside [1, 128]"),
+    ("WIDTH 129  # too wide\n", 1, "width 129 outside [1, 128]"),
+    ("# c\nWIDTH x\n", 2, "bad width 'x'"),
+    ("# c\nWIDTH -3\n", 2, "width must be non-negative"),
+    ("# c\nWIDTH 3_2\n", 2, "bad width '3_2'"),
+    ("# c\nWIDTH +32\n", 2, "bad width '+32'"),
+    ("# c\nWIDTH \uff13\uff12\n", 2, "bad width '\uff13\uff12'"),
+    ("WIDTH 32\n\nNODE A\n# c\nRULE A 10.0.0.0/+8 \u0663\n", 5,
+     "bad prefix length in '10.0.0.0/+8'"),
+    ("WIDTH 32\n\nNODE A\n# c\nRULE A 10.0.0.0/8 \u0663\n", 5, "bad port '\u0663'"),
+    # every later directive, after HEAD
+    (HEAD + "WIDTH 3\n" + TAIL, 11, "duplicate WIDTH directive"),
+    (HEAD + "NODE\n" + TAIL, 11, "NODE takes one argument"),
+    (HEAD + "NODE C D\n" + TAIL, 11, "NODE takes one argument"),
+    (HEAD + "NODE A  # again\n" + TAIL, 11, "duplicate router 'A'"),
+    (HEAD + "EDGE A 1 B\n" + TAIL, 11, "EDGE takes 4 arguments"),
+    (HEAD + "EDGE C 1 B 1\n" + TAIL, 11, "unknown router 'C'"),
+    (HEAD + "EDGE A 1 C 1\n" + TAIL, 11, "unknown router 'C'"),
+    (HEAD + "EDGE A x C 1\n" + TAIL, 11, "bad port 'x'"),
+    (HEAD + "EDGE A 1 A 2\n" + TAIL, 11, "self-loop edge"),
+    (HEAD + "EDGE A 0 B 1\n" + TAIL, 11, "port 0 of 'A' already linked"),
+    (HEAD + "EDGE A 1 B 0\n" + TAIL, 11, "port 0 of 'B' already linked"),
+    (HEAD + "RULE A 01/2\n" + TAIL, 11, "RULE takes 3 arguments"),
+    (HEAD + "PBR A 01/2 1 2\n" + TAIL, 11, "PBR takes 3 arguments"),
+    (HEAD + "RULE C 01/2 1\n" + TAIL, 11, "unknown router 'C'"),
+    (HEAD + "PBR C 01/2 1\n" + TAIL, 11, "unknown router 'C'"),
+    (HEAD + "RULE A 012/3 0\n" + TAIL, 11, "prefix bits '012' do not match length 3"),
+    (HEAD + "RULE A 01 0\n" + TAIL, 11, "prefix '01' missing '/len'"),
+    (HEAD + "RULE A 0101/4 0\n" + TAIL, 11, "prefix length 4 outside [0, 3]"),
+    (HEAD + "RULE A 1/-1 0\n" + TAIL, 11, "prefix length -1 outside [0, 3]"),
+    (HEAD + "RULE A 1/+1 0\n" + TAIL, 11, "bad prefix length in '1/+1'"),
+    (HEAD + "RULE A 01/0_2 0\n" + TAIL, 11, "bad prefix length in '01/0_2'"),
+    (HEAD + "RULE A 1/\u0661 0\n" + TAIL, 11, "bad prefix length in '1/\u0661'"),
+    (HEAD + "RULE A 1/1 x\n" + TAIL, 11, "bad port 'x'"),
+    (HEAD + "RULE A 1/1 -5\n" + TAIL, 11, "port must be non-negative"),
+    (HEAD + "RULE A 1/1 -0\n" + TAIL, 11, "port must be non-negative"),
+    (HEAD + "RULE A 1/1 99999999999\n" + TAIL, 11, "port numbers are limited to 24 bits"),
+    (HEAD + "RULE A 1/1 1_0\n" + TAIL, 11, "bad port '1_0'"),
+    (HEAD + "RULE A 1/1 +3\n" + TAIL, 11, "bad port '+3'"),
+    (HEAD + "RULE A 1/1 \u0663\n" + TAIL, 11, "bad port '\u0663'"),
+    (HEAD + "RULE A 01/2 0\n" + TAIL, 11, "conflicting rule for 01/2 at 'A'"),
+    (HEAD + "PBR A 01/2 0\n" + TAIL, 11, "conflicting rule for 01/2 at 'A'"),
+    (HEAD + "ACL A 01/2\n" + TAIL, 11, "ACL takes: router prefix permit|deny"),
+    (HEAD + "ACL A 01/2 block\n" + TAIL, 11, "ACL takes: router prefix permit|deny"),
+    (HEAD + "ACL C 01/2 deny\n" + TAIL, 11, "unknown router 'C'"),
+    (HEAD + "ACL A 01/4 deny\n" + TAIL, 11, "prefix length 4 outside [0, 3]"),
+    (HEAD + "ACL A 01/2 deny\nACL A 01/2 permit\n" + TAIL, 12,
+     "conflicting ACL action for 01/2 at 'A'"),
+    (HEAD + "XFORM A 01/2 00/2\n" + TAIL, 11, "XFORM takes: router match -> out"),
+    (HEAD + "XFORM A 01/2 => 00/2\n" + TAIL, 11, "XFORM takes: router match -> out"),
+    (HEAD + "XFORM C 01/2 -> 00/2\n" + TAIL, 11, "unknown router 'C'"),
+    (HEAD + "XFORM A 01/2 -> 0/x\n" + TAIL, 11, "bad prefix length in '0/x'"),
+    (HEAD + "XFORM A 0/1 -> 00/2\n" + TAIL, 11, "rewrite requires equal prefix lengths"),
+    (HEAD + "XFORM A 01/2 -> 00/2\nXFORM A 01/2 -> 11/2\n" + TAIL, 12,
+     "conflicting rewrite for 01/2 at 'A'"),
+    (HEAD + "FOO A\n" + TAIL, 11, "unknown directive 'FOO'"),
+    (HEAD + "rule A 01/2 1\n" + TAIL, 11, "unknown directive 'rule'"),
+]))
+def test_parse_diagnostic_lines(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_network(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+    assert isinstance(err.value, DuplicateEdge) == message.endswith("already linked")
 
 
 def test_parse_duplicate_edge_port():
@@ -206,6 +304,22 @@ def test_update_stream_roundtrip():
     assert serialize_update_stream(events, 3) == text
 
 
+@pytest.mark.parametrize("text,line,message", _at_fault([
+    ("* A 01/2 0\n", 1, "update line is: +|- router prefix port"),
+    ("# c\n\n+ A 01/2\n+ A 1/1 0\n", 3, "update line is: +|- router prefix port"),
+    ("+ A 01/2 0\n  \n- A 01/2 0 1\n", 3, "update line is: +|- router prefix port"),
+    ("+ A 01/2 0  # c\n+ A 012/3 0\n", 2, "prefix bits '012' do not match length 3"),
+    ("+ A 01/2 0\n# c\n+ A 01/0_2 1_0\n- A 1/1 0\n", 3, "bad prefix length in '01/0_2'"),
+    ("+ A 01/2 0\n# c\n+ A 01/2 1_0\n- A 1/1 0\n", 3, "bad port '1_0'"),
+    ("\n+ A 01/2 0\n+ A 0/1 x\n", 3, "bad port 'x'"),
+]))
+def test_update_stream_diagnostic_lines(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_update_stream(text, 3)
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
+
+
 def test_update_stream_diagnostics():
     with pytest.raises(ParseError):
         parse_update_stream("* A 01/2 0\n", 3)
@@ -216,9 +330,13 @@ def test_update_stream_diagnostics():
 @pytest.mark.parametrize("port,fragment", [
     ("-5", "port must be non-negative"),
     ("99999999999", "port numbers are limited to 24 bits"),
+    ("-0", "port must be non-negative"),
+    ("1_0", "bad port '1_0'"),
+    ("+5", "bad port '+5'"),
+    ("\u0663", "bad port '\u0663'"),
 ])
 def test_update_stream_port_range(port, fragment):
-    with pytest.raises(ParseError, match=f"^line 2: {fragment}"):
+    with pytest.raises(ParseError, match=f"^line 2: {re.escape(fragment)}$"):
         parse_update_stream(f"+ r0 0/1 5\n+ r0 0/1 {port}\n", 16)
 
 

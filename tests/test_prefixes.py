@@ -37,7 +37,8 @@ def test_dotted_quad_host_bits_rejected():
         parse_prefix("10.0.0.1/8", 32)
 
 
-@pytest.mark.parametrize("bad", ["01", "012/3", "01/3", "0101/9", "/1", "x/2"])
+@pytest.mark.parametrize("bad", ["01", "012/3", "01/3", "0101/9", "/1", "x/2",
+                                 "01/+2", "01/0_2", "01/ 2", "01/-0", "01/\u0662", "01/"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):
         parse_prefix(bad, 8)
