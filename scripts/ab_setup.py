@@ -4,14 +4,18 @@
     python3 scripts/ab_setup.py OLD/src NEW/src --workload update_stream --seed 2802 --pairs 10
 
 Builds the input of one benchmark workload (`perfbench/inputs.py`, with
-the `netvec` of this checkout) and hands its network text to the
-benchmark's own set-up probe, `perfbench/setup_probe.py`, run against one
-tree's `netvec` at a time: `parse_network`, then `NetworkState.from_spec`,
-then on `whole_network` the root session, each in a fresh process. A sample
-is the median of as many probes as the benchmark takes for its `setup_s`
-(3, or 5 on `repair`), and a pair is one sample of each tree; which tree
-goes first alternates from pair to pair, so drift in the machine's speed
-falls on both alike.
+the `netvec` of this checkout) and hands its network text to each tree's
+own set-up probe, the `perfbench/setup_probe.py` beside its `src/`, run as
+`perfbench/run.py` runs it (`python3 setup_probe.py WORKLOAD`, the text on
+stdin) with `PYTHONDONTWRITEBYTECODE=1`: `parse_network`, then
+`NetworkState.from_spec`, then on `whole_network` the root session, each
+in a fresh process that compiles netvec from source. A tree that holds
+`src/netvec/__pycache__` is refused, since cached bytecode leaves a
+different heap and `rss_mb` reads differently. A sample is the median of
+as many probes as the benchmark takes for its `setup_s` (3, or 5 on
+`repair`), and a pair is one sample of each tree; which tree goes first
+alternates from pair to pair, so drift in the machine's speed falls on
+both alike.
 
 Prints one line per pair, then for `parse_s`, `from_spec_s`, `setup_s` and
 `rss_mb` each tree's median and quartiles over the pairs, the ratio of the
@@ -26,24 +30,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PROBE = ROOT / "perfbench" / "setup_probe.py"
 METRICS = ("parse_s", "from_spec_s", "setup_s", "rss_mb")
-
-# Run in the fresh process: import the tree's netvec first, so the probe,
-# which puts this checkout's src/ on sys.path, finds that one imported.
-CHILD = ("import runpy, sys; sys.path.insert(0, sys.argv.pop(1)); import netvec; "
-         "sys.argv.pop(0); runpy.run_path(sys.argv[0], run_name='__main__')")
 
 
 def probe(src: Path, workload: str, text: str) -> dict:
-    out = subprocess.run([sys.executable, "-c", CHILD, str(src), str(PROBE), workload],
+    out = subprocess.run([sys.executable, str(src.parent / "perfbench" / "setup_probe.py"),
+                          workload],
                          input=text, capture_output=True, text=True, check=True,
-                         timeout=300)
+                         timeout=300, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
@@ -65,8 +65,14 @@ def main(argv=None) -> None:
     for src in (args.old, args.new):
         if not (src / "netvec" / "__init__.py").is_file():
             ap.error(f"no netvec package under {src}")
+        if not (src.parent / "perfbench" / "setup_probe.py").is_file():
+            ap.error(f"no perfbench/setup_probe.py beside {src}")
+        if (src / "netvec" / "__pycache__").exists():
+            ap.error(f"{src / 'netvec' / '__pycache__'} exists; remove it, "
+                     "the probes compile netvec from source")
     trees = {"old": args.old.resolve(), "new": args.new.resolve()}
 
+    sys.dont_write_bytecode = True      # this checkout may be one of the trees
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from inputs import make_inputs
     from stats import median, percentile

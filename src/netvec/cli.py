@@ -18,6 +18,7 @@ from .dataset import (generate_synthetic, parse_network, parse_update_stream,
 from .rectify import rectify as run_rectify
 from .errors import NetvecError, ParseError, RectificationImpossible
 from .prefixes import format_prefix, parse_prefix
+from .trie import Label
 from .verify import (NetworkState, check_policy, detect_blackhole, detect_loop,
                      verify_reachability, whatif_link_down)
 
@@ -73,7 +74,7 @@ def cmd_load(args) -> int:
     t1 = time.perf_counter()
     state = NetworkState.from_spec(spec)
     t2 = time.perf_counter()
-    trie = state.trie
+    entries = state.trie.leaf_entries()
     prefixes = {p for tables in (spec.rules, spec.acls, spec.transforms)
                 for t in tables.values() for p in t}
     prefixes.update(p for t in spec.transforms.values() for p in t.values())
@@ -82,8 +83,8 @@ def cmd_load(args) -> int:
         "edges": len(spec.edges),
         "rules": spec.rule_count,
         "prefixes": len(prefixes),
-        "classes": trie.num_leaves,
-        "iatomic": trie.iatomic_count,
+        "classes": len(entries),
+        "iatomic": sum(label == Label.IATOMIC for _, label, _ in entries),
         "width": spec.width,
         "parse_s": t1 - t0,
         "load_s": t2 - t1,

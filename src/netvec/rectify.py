@@ -22,7 +22,7 @@ from .trie import AffectedSets
 # stays bound: tracing tools wrap it in every module that imports it.
 from .vectors import StateVector, apply_transform  # noqa: F401
 from .verify import (NetworkState, ReachabilityReport, VerificationSession,
-                     verify_reachability)
+                     _start_bits, verify_reachability)
 
 
 @dataclass(frozen=True)
@@ -101,15 +101,12 @@ def path_quality(session: VerificationSession, src: str, dst: str, *,
     sorted ascending (ties go to shorter paths, then to the path itself).
 
     Raises InfeasibleParameters when `max_paths` is below 1, UnknownRouter
-    for an unknown `src` or `dst`, and NoPath when no link path joins them.
+    for an unknown `src` or `dst`, DimensionMismatch when `b_init` is not
+    one bit per class, and NoPath when no link path joins them.
     """
     if max_paths < 1:
         raise InfeasibleParameters(f"max_paths must be >= 1, got {max_paths}")
-    for r in (src, dst):
-        if r not in session.topology.peers:
-            raise UnknownRouter(r)
-    if b_init is None:
-        b_init = StateVector.ones(session.m)
+    start = _start_bits(session, (src, dst), b_init)
     if src == dst:
         return [PathQuality((src,), 0.0, (), ())]
     candidates = _simple_paths(session.topology, src, dst, max_paths)
@@ -118,7 +115,7 @@ def path_quality(session: VerificationSession, src: str, dst: str, *,
     enter = session.enter
     scored = []
     for routers, ports in candidates:
-        bits = b_init.bits
+        bits = start
         per_node = []
         for r, port in zip(routers[:-1], ports):
             e, pre = enter(r, bits)

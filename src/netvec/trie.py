@@ -6,11 +6,12 @@ header classes do not overlap: a rule header ending at a leaf is an
 *atomic* class, one ending at an interior node is a *supernet*, and the
 *induced* (iatomic) classes fill the rest of each supernet's range. An
 induced class is the missing child of a node at or below a rule node; it is
-never stored, and the walks that list classes (`compute_affected`,
-`leaf_entries`) emit it where they meet the gap. An update therefore adds
-or prunes one root path and nothing else, and `compute_affected` reports
-the classes whose behavior an update (or a batch of them) may have changed,
-each with the rule-bearing nodes its longest-prefix winners come from.
+never stored, and `compute_affected`, the one walk that lists classes,
+emits it where it meets the gap (`leaf_entries` reads that walk). An update
+therefore adds or prunes one root path and nothing else, and
+`compute_affected` reports the classes whose behavior an update (or a batch
+of them) may have changed, each with the rule-bearing nodes its
+longest-prefix winners come from.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from enum import IntEnum
 from functools import cached_property
 
 from .errors import NotFound, PrefixTooLong
-from .prefixes import Prefix
+from .prefixes import ROOT, Prefix
 
 
 class Label(IntEnum):
@@ -263,37 +264,23 @@ class HeaderTrie:
             if node.zero is not None:
                 stack.append(node.zero)
 
-    def _classes(self):
-        """Every class as (prefix, label), in range-start order: each rule
-        leaf, and each missing child of a node at or below a rule node (an
-        empty trie has none)."""
-        stack: list = [(self.root, False)]
-        while stack:
-            node, covered = stack.pop()
-            if covered is None:                 # an induced class's prefix
-                yield node, Label.IATOMIC
-            elif node.zero is None and node.one is None:
-                if node.is_rule:                # an empty root is no class
-                    yield node.prefix(), Label.ATOMIC
-            else:
-                covered = covered or node.is_rule
-                for child in (node.one, node.zero):
-                    if child is not None:
-                        stack.append((child, covered))
-                    elif covered:
-                        stack.append((node.gap(), None))
-
     def leaf_entries(self) -> list[tuple[Prefix, Label, int]]:
-        """All classes as (prefix, label, coordinate), in range-start order."""
-        return [(p, label, i) for i, (p, label) in enumerate(self._classes())]
+        """All classes as (prefix, label, coordinate), in range-start order,
+        as `compute_affected` lists them: a class with a node of its own is
+        a rule leaf, ATOMIC; one without is IATOMIC (an empty trie has none)."""
+        if self.root.is_leaf and not self.root.is_rule:
+            return []
+        find = self._find
+        return [(p, Label.IATOMIC if find(p) is None else Label.ATOMIC, i)
+                for i, p in enumerate(self.compute_affected(ROOT).classes)]
 
     @property
     def num_leaves(self) -> int:
-        return sum(1 for _ in self._classes())
+        return len(self.leaf_entries())
 
     @property
     def iatomic_count(self) -> int:
-        return sum(1 for _, label in self._classes() if label == Label.IATOMIC)
+        return sum(label == Label.IATOMIC for _, label, _ in self.leaf_entries())
 
     # ------------------------------------------------------------------
     # structural helpers

@@ -1033,28 +1033,14 @@ class NetworkState:
         for _ in range(64):
             changed = False
             for match, out in rules:
-                path = trie._walk(match)
-                if path is None:
-                    continue
-                top = path[-1]
-                suffixes: list[tuple[int, int]] = []
-                stack = [(top, 0, 0)]
-                while stack:
-                    node, rel_val, rel_len = stack.pop()
-                    if node.zero is None and node.one is None:
-                        if rel_len:
-                            suffixes.append((rel_val, rel_len))
-                        continue
-                    for bit, child in ((0, node.zero), (1, node.one)):
-                        if child is not None:
-                            stack.append((child, (rel_val << 1) | bit, rel_len + 1))
-                        else:                   # an induced class under the match
-                            suffixes.append(((rel_val << 1) | bit, rel_len + 1))
-                for rel_val, rel_len in suffixes:
-                    target = Prefix((out.value << rel_len) | rel_val,
-                                    out.length + rel_len)
-                    existing = trie._walk(target)
-                    if existing is None or not existing[-1].marker:
+                for cls in trie.compute_affected(match).classes:
+                    k = cls.length - match.length
+                    if not k:
+                        continue                # the match is a class itself
+                    target = Prefix(out.value << k | cls.value & ((1 << k) - 1),
+                                    out.length + k)
+                    node = trie._find(target)
+                    if node is None or not node.marker:
                         trie.insert_marker(target)
                         changed = True
             if not changed:

@@ -4,12 +4,13 @@ from collections import deque
 import pytest
 
 from netvec.dataset import UpdateEvent, generate_synthetic, parse_network
-from netvec.errors import (InfeasibleParameters, NoPath, PbrProtected,
-                           RectificationImpossible, UnknownRouter)
+from netvec.errors import (DimensionMismatch, InfeasibleParameters, NoPath,
+                           PbrProtected, RectificationImpossible, UnknownRouter)
 from netvec.oracle import simulate_all
 from netvec.prefixes import Prefix
 from netvec.rectify import apply_fixes, cover_classes, path_quality, rectify
-from netvec.verify import NetworkState, verify_reachability
+from netvec.vectors import StateVector
+from netvec.verify import NetworkState, detect_loop, verify_reachability
 
 from conftest import PBR_NETWORK, TOY_NETWORK, headers_of, pfx, random_small_network
 
@@ -57,6 +58,25 @@ def test_path_quality_rejects_max_paths_below_one(bad):
         path_quality(session, "r3", "r0", max_paths=bad)
     (only,) = path_quality(session, "r3", "r0", max_paths=1)
     assert only.path[0] == "r3" and only.path[-1] == "r0"
+
+
+def test_path_quality_rejects_b_init_of_another_width():
+    """`b_init` must hold one bit per class, as the queries require: a wider
+    vector would score classes that do not exist."""
+    spec = generate_synthetic(6, 8, 4, seed=1, width=8, mask_distribution={4: 1, 6: 1})
+    session = NetworkState.from_spec(spec).session()
+    m = session.m
+    for width in (m - 1, m + 1, 8, 10):
+        b_init = StateVector.ones(width)
+        for src, dst in (("r3", "r0"), ("r3", "r3")):
+            with pytest.raises(DimensionMismatch):
+                path_quality(session, src, dst, b_init=b_init)
+            with pytest.raises(DimensionMismatch):
+                verify_reachability(session, src, dst, b_init)
+        with pytest.raises(DimensionMismatch):
+            detect_loop(session, "r3", b_init)
+    assert path_quality(session, "r3", "r0", b_init=StateVector.ones(m)) == \
+        path_quality(session, "r3", "r0")
 
 
 def all_simple_paths(peers, src, dst):

@@ -119,6 +119,54 @@ def _shape_unchanged_by_alignment(state):
     return state.trie.snapshot() == snap
 
 
+def _misaligned(state):
+    """The (match, out, class range) of every class under a rewrite's match
+    whose shifted range does not start where a class starts and end where a
+    class ends; and the number of (class, rewrite) pairs checked."""
+    width = state.trie.width
+    ranges = [p.range(width) for p, _, _ in state.trie.leaf_entries()]
+    starts = {lo for lo, _ in ranges}
+    ends = {hi for _, hi in ranges}
+    bad, checked = [], 0
+    for table in state.spec.transforms.values():
+        for match, out in table.items():
+            m_lo, m_hi = match.range(width)
+            shift = out.range(width)[0] - m_lo
+            for lo, hi in ranges:
+                if m_lo <= lo and hi <= m_hi:
+                    checked += 1
+                    if lo + shift not in starts or hi + shift not in ends:
+                        bad.append((match, out, (lo, hi)))
+    return bad, checked
+
+
+def test_every_rewritten_class_is_a_union_of_classes():
+    """Alignment's guarantee, checked after load and after each random
+    insert and delete: under every rewrite, each class's image starts
+    exactly where a class starts and ends exactly where a class ends."""
+    checked = 0
+    for seed in range(200):
+        spec = random_small_network(seed, gap_fraction=0.2, n_transforms=3)
+        if not spec.transforms:
+            continue
+        state = NetworkState.from_spec(spec)
+        known = sorted({p for t in spec.rules.values() for p in t}, key=_key)
+        rng = random.Random(f"{seed}:aligned")
+        for i in range(40):
+            bad, n = _misaligned(state)
+            assert not bad, (seed, i, bad[:3])
+            checked += n
+            rules = _rules(state.tables)
+            if rules and rng.random() < 0.5:
+                r, p, port = rng.choice(rules)
+                state.apply_update(UpdateEvent("delete", r, p, port, i))
+            else:
+                state.apply_update(UpdateEvent("insert", rng.choice(spec.routers),
+                                               _random_prefix(rng, known, spec.width),
+                                               rng.randrange(3), i))
+    assert checked > 10_000
+
+
 def test_updates_that_keep_the_shape_need_no_alignment():
     """An update that reports no shape change skips rewrite alignment; a
     full alignment afterwards must find nothing to add. The same holds after
